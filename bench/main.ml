@@ -28,15 +28,15 @@
          # appended to its "runs" array, so the checked-in BENCH_agg.json
          # accumulates the perf trajectory across PRs.
      dune exec bench/main.exe -- async [label] [out.json] [scale]
-         # async disk pipeline: legacy vs. queued backend, warm and
-         # memory-pressure scenarios — request-latency percentiles, disk
-         # utilization, batching/coalescing/readahead counters, and a
-         # cold sequential-read time (default ./BENCH_async.json).
+         # async disk pipeline, warm and memory-pressure scenarios —
+         # request-latency percentiles, disk utilization,
+         # batching/coalescing/readahead counters, and a cold
+         # sequential-read time (default ./BENCH_async.json).
      dune exec bench/main.exe -- write [label] [out.json] [crash_runs]
-         # delayed write-back: eager vs. clustered disk write ops on the
-         # sequential headline, the CAWL burst sweep at two flush
-         # intervals, and the crash-at-any-point consistency harness
-         # (default ./BENCH_write.json, 1000 crash points).
+         # delayed write-back: clustered disk write ops on the sequential
+         # headline, the CAWL burst sweep at two flush intervals, and the
+         # crash-at-any-point consistency harness (default
+         # ./BENCH_write.json, 1000 crash points).
      dune exec bench/main.exe -- tier [label] [out.json] [scale]
          # NVMM second cache tier: Fig. 10-style working-set sweeps on a
          # small (64MB) machine, DRAM-only baseline first then the
@@ -290,20 +290,93 @@ let agg_json_of_run ~label entries =
   Stdlib.Buffer.add_string b "      ]\n    }";
   Stdlib.Buffer.contents b
 
-(* Append one labeled run to a JSON history file (shared by the agg,
-   cksum, and scale sections): the checked-in BENCH_*.json files
-   accumulate the perf trajectory across PRs instead of being clobbered
-   per run. *)
-let append_json_text ~benchmark ~out ~run_json =
-  let fresh =
-    Printf.sprintf
-      "{\n  \"benchmark\": %S,\n  \"units\": \"nanoseconds \
-       (wall-clock)\",\n  \"runs\": [\n%s\n  ]\n}\n"
-      benchmark run_json
-  in
-  let tail_marker = "\n  ]\n}\n" in
+(* Field units of each history file's runs, written into a fresh
+   file's header. Every value names its clock: "virtual" is the
+   modelled 1999 machine, "host wall-clock" the simulator itself; plain
+   counts and sizes have no clock. *)
+let units groups =
+  List.concat_map (fun (u, names) -> List.map (fun n -> (n, u)) names) groups
+
+let ns_host = "ns (host wall-clock)"
+let s_virtual = "s (virtual)"
+
+let micro_units =
+  units
+    [
+      ("count", [ "pieces"; "iters" ]);
+      ("bytes", [ "piece_size" ]);
+      (ns_host, [ "total_ns"; "ns_per_op" ]);
+    ]
+
+let scale_units =
+  units
+    [
+      ( "count",
+        [ "conns"; "requests"; "fresh_warm"; "recycled_warm"; "peak_timers";
+          "idle_closed" ] );
+      ("requests/s (virtual)", [ "sim_rps" ]);
+      (s_virtual, [ "p50_s"; "p90_s"; "p99_s" ]);
+      (ns_host, [ "wall_ns_per_req"; "timer_ns_per_op" ]);
+    ]
+
+let async_units =
+  units
+    [
+      ("MB", [ "mem_mb" ]);
+      ( "count",
+        [ "requests"; "disk_reads"; "disk_writes"; "batches"; "batched";
+          "fill_coalesced"; "readahead_issued"; "readahead_hit";
+          "swap_writes"; "attr_completed" ] );
+      ( s_virtual,
+        [ "p50_s"; "p90_s"; "p99_s"; "seq_read_s"; "attr_wall_s";
+          "attr_queue_s"; "attr_disk_service_s"; "attr_coalesced_wait_s";
+          "attr_vm_stall_s"; "attr_cpu_s" ] );
+      ("ratio (virtual)", [ "disk_util"; "tail_covered_min" ]);
+    ]
+
+let write_units =
+  units
+    [
+      ( "count",
+        [ "writes"; "disk_writes"; "cluster_writes"; "clustered"; "flushes";
+          "superseded"; "throttled"; "crash.points"; "crash.failures";
+          "crash.durable_min"; "crash.durable_max" ] );
+      ("bytes", [ "burst"; "bytes"; "disk_bytes" ]);
+      ("ratio", [ "x" ]);
+      (s_virtual, [ "flush_interval"; "write_s" ]);
+      ("MiB/s (virtual)", [ "mbps" ]);
+    ]
+
+let tier_units =
+  units
+    [
+      ("MB", [ "ws_mb" ]);
+      ( "count",
+        [ "dram_hits"; "dram_evictions"; "tier_hit"; "tier_miss";
+          "tier_demote"; "tier_promote"; "tier_wb_stage"; "tier_evict";
+          "disk_reads"; "probe.demote"; "probe.promote"; "probe.wb_stage" ] );
+      ("Mb/s (virtual)", [ "mbps" ]);
+      ( s_virtual,
+        [ "probe.dram_hit_s"; "probe.warm_tier_hit_s"; "probe.cold_disk_fill_s" ]
+      );
+      ("ratio (virtual)", [ "probe.speedup" ]);
+    ]
+
+let units_json units =
+  "{\n"
+  ^ String.concat ",\n"
+      (List.map (fun (k, v) -> Printf.sprintf "    %S: %S" k v) units)
+  ^ "\n  }"
+
+(* Append one labeled run to a JSON history file: the checked-in
+   BENCH_*.json files accumulate the perf trajectory across PRs instead
+   of being clobbered per run. A history whose tail is not the expected
+   closing brackets (trailing whitespace aside) is left untouched and
+   the bench exits non-zero — recorded runs are never discarded. *)
+let append_json_text ~benchmark ~units ~out ~run_json =
+  let closing = "\n  ]\n}" in
   let existing =
-    match open_in out with
+    match open_in_bin out with
     | exception Sys_error _ -> None
     | ic ->
       let s = really_input_string ic (in_channel_length ic) in
@@ -312,30 +385,34 @@ let append_json_text ~benchmark ~out ~run_json =
   in
   let content, verb =
     match existing with
-    | Some s
-      when String.length s > String.length tail_marker
-           && String.sub s
-                (String.length s - String.length tail_marker)
-                (String.length tail_marker)
-              = tail_marker ->
-      ( String.sub s 0 (String.length s - String.length tail_marker)
-        ^ ",\n" ^ run_json ^ tail_marker,
-        "appended run to" )
-    | Some _ ->
-      Printf.printf "  (existing %s not in the expected shape; rewriting)\n"
-        out;
-      (fresh, "wrote")
-    | None -> (fresh, "wrote")
+    | None ->
+      ( Printf.sprintf
+          "{\n  \"benchmark\": %S,\n  \"units\": %s,\n  \"runs\": [\n%s%s\n"
+          benchmark (units_json units) run_json closing,
+        "wrote" )
+    | Some s ->
+      let body = String.trim s in
+      let n = String.length body and k = String.length closing in
+      if n > k && String.sub body (n - k) k = closing then
+        (String.sub body 0 (n - k) ^ ",\n" ^ run_json ^ closing ^ "\n",
+         "appended run to")
+      else begin
+        Printf.eprintf
+          "  %s is not a run history ending in %S; left untouched\n%!" out
+          closing;
+        exit 1
+      end
   in
   try
-    let oc = open_out out in
+    let oc = open_out_bin out in
     output_string oc content;
     close_out oc;
     Printf.printf "  %s %s\n%!" verb out
   with Sys_error e -> Printf.printf "  could not write %s: %s\n%!" out e
 
 let append_json_run ~benchmark ~out ~label entries =
-  append_json_text ~benchmark ~out ~run_json:(agg_json_of_run ~label entries)
+  append_json_text ~benchmark ~units:micro_units ~out
+    ~run_json:(agg_json_of_run ~label entries)
 
 let run_agg ?(label = "current") ?(out = "BENCH_agg.json") () =
   Printf.printf "\n== Deep-aggregate scaling (label: %s) ==\n" label;
@@ -745,10 +822,11 @@ let run_obs ?(label = "current") ?(out = "BENCH_obs.json") () =
 (* Holds 10^3..10^6 concurrent persistent connections against Flash-Lite
    and measures per-request wall cost, request latency percentiles,
    warm-phase fresh-chunk allocations, and timer cancel+insert cost at
-   full population — once on the pre-scaffolding configuration (binary
-   heap timers, single-shard tables: "heap-flat") and once on the
-   scaffolding ("wheel-sharded"). Flat wall ns/req and timer ns/op
-   across three decades of population is the acceptance criterion. *)
+   full population on the default configuration ("wheel-sharded": timer
+   wheel, 16-way shards). Flat wall ns/req and timer ns/op across three
+   decades of population is the acceptance criterion. The recorded
+   "heap-flat" entries measured the removed heap-timer, single-shard
+   configuration. *)
 
 let scale_json_of_run ~label points =
   let module E = Iolite_workload.Experiments in
@@ -759,12 +837,12 @@ let scale_json_of_run ~label points =
     (fun i p ->
       Stdlib.Buffer.add_string b
         (Printf.sprintf
-           "        {\"conns\": %d, \"config\": %S, \"requests\": %d, \
-            \"sim_rps\": %.0f, \"wall_ns_per_req\": %.1f, \"p50_s\": %.6f, \
+           "        {\"conns\": %d, \"config\": \"wheel-sharded\", \
+            \"requests\": %d, \"sim_rps\": %.0f, \"wall_ns_per_req\": %.1f, \"p50_s\": %.6f, \
             \"p90_s\": %.6f, \"p99_s\": %.6f, \"fresh_warm\": %d, \
             \"recycled_warm\": %d, \"timer_ns_per_op\": %.1f, \
             \"peak_timers\": %d, \"idle_closed\": %d}%s\n"
-           p.E.c1m_conns p.E.c1m_label p.E.c1m_requests p.E.c1m_sim_rps
+           p.E.c1m_conns p.E.c1m_requests p.E.c1m_sim_rps
            p.E.c1m_wall_ns_per_req p.E.c1m_p50 p.E.c1m_p90 p.E.c1m_p99
            p.E.c1m_fresh_warm p.E.c1m_recycled_warm p.E.c1m_timer_ns_per_op
            p.E.c1m_peak_timers p.E.c1m_idle_closed
@@ -777,32 +855,29 @@ let run_scale ?(label = "current") ?(out = "BENCH_scale.json")
     ?(conns = [ 1_000; 10_000; 100_000; 1_000_000 ]) () =
   Printf.printf "\n== C1M connection-scale sweep (label: %s) ==\n%!" label;
   let module E = Iolite_workload.Experiments in
-  let points = ref [] in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun baseline ->
-          Printf.printf "  running %d conns, %s...\n%!" n
-            (if baseline then "heap-flat" else "wheel-sharded");
-          points := E.c1m ~baseline ~conns:n () :: !points;
-          (* each point retires a whole simulated machine *)
-          Gc.full_major ())
-        [ true; false ])
-    conns;
-  let points = List.rev !points in
+  let points =
+    List.map
+      (fun n ->
+        Printf.printf "  running %d conns...\n%!" n;
+        let p = E.c1m ~conns:n () in
+        (* each point retires a whole simulated machine *)
+        Gc.full_major ();
+        p)
+      conns
+  in
   E.print_c1m points;
-  append_json_text ~benchmark:"c1m-scale" ~out
+  append_json_text ~benchmark:"c1m-scale" ~units:scale_units ~out
     ~run_json:(scale_json_of_run ~label points)
 
 (* ------------------------------------------------------------------ *)
 (* Async disk pipeline                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Tail latency under memory pressure, legacy (serialized disk, no
-   readahead, synchronous pageout) vs. async (queued ring + elevator,
-   readahead, single-flight fills, batched pageout writes), plus a cold
-   sequential-read headline. The "legacy" entries are the pre-async
-   system recorded for comparison. *)
+(* Tail latency under memory pressure on the async disk path (queued
+   ring + elevator, readahead, single-flight fills, batched pageout
+   writes), plus a cold sequential-read headline. The recorded "legacy"
+   entries measured the removed pre-async path (serialized disk, no
+   readahead, synchronous pageout). *)
 
 let async_json_of_run ~label points =
   let module E = Iolite_workload.Experiments in
@@ -818,8 +893,8 @@ let async_json_of_run ~label points =
       in
       Stdlib.Buffer.add_string b
         (Printf.sprintf
-           "        {\"scenario\": %S, \"backend\": %S, \"mem_mb\": %d, \
-            \"requests\": %d, \"p50_s\": %.6f, \"p90_s\": %.6f, \"p99_s\": \
+           "        {\"scenario\": %S, \"backend\": \"async\", \
+            \"mem_mb\": %d, \"requests\": %d, \"p50_s\": %.6f, \"p90_s\": %.6f, \"p99_s\": \
             %.6f, \"disk_util\": %.4f, \"disk_reads\": %d, \"disk_writes\": \
             %d, \"batches\": %d, \"batched\": %d, \"fill_coalesced\": %d, \
             \"readahead_issued\": %d, \"readahead_hit\": %d, \"swap_writes\": \
@@ -828,7 +903,7 @@ let async_json_of_run ~label points =
             \"attr_disk_service_s\": %.6f, \"attr_coalesced_wait_s\": %.6f, \
             \"attr_vm_stall_s\": %.6f, \"attr_cpu_s\": %.6f, \
             \"tail_covered_min\": %.4f}%s\n"
-           p.E.as_scenario p.E.as_label p.E.as_mem_mb p.E.as_requests
+           p.E.as_scenario p.E.as_mem_mb p.E.as_requests
            p.E.as_p50 p.E.as_p90 p.E.as_p99 p.E.as_disk_util p.E.as_disk_reads
            p.E.as_disk_writes p.E.as_batches p.E.as_batched p.E.as_coalesced
            p.E.as_ra_issued p.E.as_ra_hit p.E.as_swap_writes p.E.as_seq_read_s
@@ -852,16 +927,17 @@ let run_async ?(label = "current") ?(out = "BENCH_async.json") ?(scale = 1.0)
   let points = E.async_sweep ~scale () in
   E.print_async points;
   E.print_async_tail points;
-  append_json_text ~benchmark:"async-disk" ~out
+  append_json_text ~benchmark:"async-disk" ~units:async_units ~out
     ~run_json:(async_json_of_run ~label points)
 
 (* ------------------------------------------------------------------ *)
 (* Delayed write-back                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Three exhibits: the clustering headline (eager one-disk-op-per-write
-   vs. the sync daemon merging adjacent dirty extents — compare disk
-   write ops for the same bytes), the CAWL sweep (write throughput vs.
+(* Three exhibits: the clustering headline (the sync daemon merging
+   adjacent dirty extents — compare disk write ops with write calls;
+   the recorded "eager" entries paid one disk op per write through the
+   removed write-through path), the CAWL sweep (write throughput vs.
    burst size over the dirty hard limit under two flush intervals:
    memory speed below the knee, drain speed above, the knee's position
    set by the interval), and the crash-at-any-point harness (randomized
@@ -890,19 +966,11 @@ let write_json_of_run ~label ~crash points =
            p.E.wp_superseded p.E.wp_throttled p.E.wp_write_s p.E.wp_mbps
            (if i = List.length points - 1 then "" else ",")))
     points;
-  let find l = List.find_opt (fun p -> p.E.wp_label = l) points in
-  let ratio =
-    match (find "eager", find "delayed") with
-    | Some e, Some d when d.E.wp_disk_writes > 0 ->
-      float_of_int e.E.wp_disk_writes /. float_of_int d.E.wp_disk_writes
-    | _ -> 0.0
-  in
   Stdlib.Buffer.add_string b
     (Printf.sprintf
-       "      ],\n      \"eager_over_delayed_disk_ops\": %.1f,\n      \
-        \"crash\": {\"points\": %d, \"failures\": %d, \"durable_min\": %d, \
-        \"durable_max\": %d}\n    }"
-       ratio crash.C.r_points
+       "      ],\n      \"crash\": {\"points\": %d, \"failures\": %d, \
+        \"durable_min\": %d, \"durable_max\": %d}\n    }"
+       crash.C.r_points
        (List.length crash.C.r_failures)
        crash.C.r_durable_min crash.C.r_durable_max);
   Stdlib.Buffer.contents b
@@ -913,13 +981,13 @@ let run_write ?(label = "current") ?(out = "BENCH_write.json")
     "\n== Delayed write-back: clustering + CAWL (label: %s) ==\n%!" label;
   let module E = Iolite_workload.Experiments in
   let module C = Iolite_workload.Crash in
-  let points = E.write_seq () @ E.write_cawl_sweep () in
+  let points = E.write_seq_point () :: E.write_cawl_sweep () in
   E.print_write points;
   Printf.printf "\n  crash harness: %d randomized crash points...\n%!"
     crash_runs;
   let crash = C.run_many ~runs:crash_runs () in
   C.print crash;
-  append_json_text ~benchmark:"write-back" ~out
+  append_json_text ~benchmark:"write-back" ~units:write_units ~out
     ~run_json:(write_json_of_run ~label ~crash points)
 
 (* ------------------------------------------------------------------ *)
@@ -980,9 +1048,9 @@ let run_tier ?(label = "current") ?(out = "BENCH_tier.json") ?(scale = 1.0) ()
   Gc.full_major ();
   let probe = E.tier_probe_run () in
   E.print_tier (baseline @ tiered) (Some probe);
-  append_json_text ~benchmark:"nvmm-tier" ~out
+  append_json_text ~benchmark:"nvmm-tier" ~units:tier_units ~out
     ~run_json:(tier_json_of_run ~label:(label ^ " dram-baseline") baseline);
-  append_json_text ~benchmark:"nvmm-tier" ~out
+  append_json_text ~benchmark:"nvmm-tier" ~units:tier_units ~out
     ~run_json:(tier_json_of_run ~label:(label ^ " tiered") ~probe tiered)
 
 (* ------------------------------------------------------------------ *)

@@ -22,17 +22,15 @@ type t = {
 
 type verdict = Demuxed of Iolite_core.Iobuf.Pool.t | Unmatched
 
-let round_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
+(* A power of two, so the shard pick is a mask. *)
+let n_shards = 16
 
-let create ?(shards = 16) () =
-  let n = round_pow2 (max 1 shards) in
+let create () =
   {
     shards =
-      Array.init n (fun _ ->
+      Array.init n_shards (fun _ ->
           { flows = Hashtbl.create 64; s_lookups = 0; s_matched = 0 });
-    mask = n - 1;
+    mask = n_shards - 1;
     flow = None;
   }
 

@@ -1,5 +1,3 @@
-type timer_backend = [ `Wheel | `Heap ]
-
 type t = {
   mutable clock : float;
   mutable seq : int;
@@ -7,7 +5,6 @@ type t = {
   mutable fctx : int; (* flow context of the running process, 0 = none *)
   queue : (unit -> unit) Heap.t;
   wheel : (unit -> unit) Twheel.t;
-  backend : timer_backend;
   mutable live_timers : int;
 }
 
@@ -21,7 +18,11 @@ type _ Effect.t +=
   | E_engine : t Effect.t
   | E_self : string option Effect.t
 
-let create ?(timer_backend = `Wheel) ?(timer_tick = 1e-3) () =
+(* Coarse-timer quantum: TCP/connection timeouts need no finer
+   resolution than a millisecond. *)
+let timer_tick = 1e-3
+
+let create () =
   {
     clock = 0.0;
     seq = 0;
@@ -29,7 +30,6 @@ let create ?(timer_backend = `Wheel) ?(timer_tick = 1e-3) () =
     fctx = 0;
     queue = Heap.create ();
     wheel = Twheel.create ~tick:timer_tick ();
-    backend = timer_backend;
     live_timers = 0;
   }
 
@@ -37,7 +37,6 @@ let now t = t.clock
 let current_name t = t.current
 let ctx t = t.fctx
 let set_ctx t c = t.fctx <- c
-let timer_backend t = t.backend
 
 let schedule t time thunk =
   let seq = t.seq in
@@ -112,11 +111,9 @@ let spawn ?name t f = schedule t t.clock (fun () -> exec t name 0 f)
 
 let spawn_at ?name t time f = schedule t time (fun () -> exec t name 0 f)
 
-(* Coarse cancelable timers. On the wheel backend the deadline is
+(* Coarse cancelable timers live on the wheel: the deadline is
    quantized up to the wheel tick (never fires early); insert and
-   cancel are O(1) regardless of how many timers are pending. The heap
-   backend keeps exact deadlines and O(log n) insert with tombstone
-   cancel — it exists as the measured baseline for the scale sweep. *)
+   cancel are O(1) regardless of how many timers are pending. *)
 let schedule_cancelable ?name t time f =
   let tm = { t_pending = true; t_cancel = (fun () -> false) } in
   let body () =
@@ -125,19 +122,12 @@ let schedule_cancelable ?name t time f =
     exec t name 0 f
   in
   t.live_timers <- t.live_timers + 1;
-  (match t.backend with
-  | `Wheel ->
-    let tick =
-      max (Twheel.current_tick t.wheel)
-        (Twheel.tick_of_time t.wheel (Float.max time t.clock))
-    in
-    let h = Twheel.add t.wheel ~tick body in
-    tm.t_cancel <- (fun () -> Twheel.cancel t.wheel h)
-  | `Heap ->
-    let seq = t.seq in
-    t.seq <- seq + 1;
-    let e = Heap.push_entry t.queue ~time:(Float.max time t.clock) ~seq body in
-    tm.t_cancel <- (fun () -> Heap.cancel t.queue e));
+  let tick =
+    max (Twheel.current_tick t.wheel)
+      (Twheel.tick_of_time t.wheel (Float.max time t.clock))
+  in
+  let h = Twheel.add t.wheel ~tick body in
+  tm.t_cancel <- (fun () -> Twheel.cancel t.wheel h);
   tm
 
 let cancel_timer t tm =
@@ -166,11 +156,11 @@ let run ?until t =
     let next =
       match (heap_time, wheel_next) with
       | None, None -> None
-      | Some h, None -> Some (`Heap, h)
+      | Some h, None -> Some (`Event, h)
       | None, Some k -> Some (`Wheel k, Twheel.time_of_tick t.wheel k)
       | Some h, Some k ->
         let w = Twheel.time_of_tick t.wheel k in
-        if h <= w then Some (`Heap, h) else Some (`Wheel k, w)
+        if h <= w then Some (`Event, h) else Some (`Wheel k, w)
     in
     match next with
     | None -> stop := true
@@ -181,7 +171,7 @@ let run ?until t =
       if past_deadline then stop := true
       else begin
         match src with
-        | `Heap -> (
+        | `Event -> (
           match Heap.pop t.queue with
           | None -> ()
           | Some (time, _seq, thunk) ->

@@ -228,9 +228,12 @@ let run_one ?(cfg = default_workload) ~seed ~frac () =
 
 (* [runs] randomized crash points: seeds vary the workload, the crash
    fraction sweeps (0, 1] — early crashes land mid-first-flush, late
-   ones mid-final-fsync. The recording pass is shared per seed. *)
+   ones mid-final-fsync. The recording pass is shared per seed. Exactly
+   [runs] points run: the remainder of [runs / seeds] goes one each to
+   the first seeds. *)
 let run_many ?(cfg = default_workload) ?(seeds = 25) ?(runs = 1000) () =
-  let points_per_seed = max 1 (runs / max 1 seeds) in
+  let seeds = max 1 (min seeds runs) in
+  let points_for s = (runs / seeds) + if s < runs mod seeds then 1 else 0 in
   let durable_min = ref max_int in
   let durable_max = ref 0 in
   let points = ref 0 in
@@ -240,7 +243,7 @@ let run_many ?(cfg = default_workload) ?(seeds = 25) ?(runs = 1000) () =
     let seed = Int64.of_int (0x5EED + (s * 7919)) in
     let _k, history = run_workload ~seed cfg in
     let prng = Rng.create (Int64.add seed 1L) in
-    for _ = 1 to points_per_seed do
+    for _ = 1 to points_for s do
       let frac = 0.02 +. Rng.float prng 0.98 in
       let crash_t = frac *. history.h_end in
       let kernel, _ = run_workload ~until:crash_t ~seed cfg in

@@ -8,31 +8,50 @@ let run_sim f =
   Engine.run e;
   Engine.now e
 
-(* For serial request streams the two backends must charge identical
-   costs; the legacy cost model is the reference. *)
-let test_disk_latency_model () =
+(* FIFO reference model: what a device servicing [(op, file, off,
+   bytes)] one at a time in arrival order counts — (completions, reads,
+   writes, bytes read, bytes written) — and charges, with the
+   sequential discount against the previous request. The queued
+   elevator is checked against it. *)
+let fifo_model ~positioning_s ~sequential_positioning_s ~bytes_per_sec reqs =
+  let n = ref 0 and reads = ref 0 and writes = ref 0 in
+  let rbytes = ref 0 and wbytes = ref 0 in
+  let time = ref 0.0 and last = ref (-1, -1) in
   List.iter
-    (fun backend ->
-      let d =
-        Disk.create ~backend ~positioning_s:0.008
-          ~sequential_positioning_s:0.0005 ~bytes_per_sec:12e6 ()
+    (fun (op, file, off, bytes) ->
+      incr n;
+      if op = `Read then (incr reads; rbytes := !rbytes + bytes)
+      else (incr writes; wbytes := !wbytes + bytes);
+      let pos =
+        if !last = (file, off) then sequential_positioning_s else positioning_s
       in
-      let elapsed =
-        run_sim (fun () ->
-            Disk.read d ~file:1 ~off:0 ~bytes:120_000;
-            (* Sequential follow-up is cheap. *)
-            Disk.read d ~file:1 ~off:120_000 ~bytes:120_000;
-            (* Different file seeks again. *)
-            Disk.read d ~file:2 ~off:0 ~bytes:0)
-      in
-      let expect = 0.008 +. 0.01 +. 0.0005 +. 0.01 +. 0.008 in
-      Alcotest.(check (float 1e-6)) "latency" expect elapsed;
-      Alcotest.(check int) "reads counted" 3 (Disk.reads d);
-      Alcotest.(check int) "bytes counted" 240_000 (Disk.bytes_read d))
-    [ `Legacy; `Queued ]
+      time := !time +. pos +. (float_of_int bytes /. bytes_per_sec);
+      last := (file, off + bytes))
+    reqs;
+  ((!n, !reads, !writes, !rbytes, !wbytes), !time)
+
+(* A serial request stream pays exactly position-then-transfer per
+   request, discounted when sequential. *)
+let test_disk_latency_model () =
+  let d =
+    Disk.create ~positioning_s:0.008 ~sequential_positioning_s:0.0005
+      ~bytes_per_sec:12e6 ()
+  in
+  let elapsed =
+    run_sim (fun () ->
+        Disk.read d ~file:1 ~off:0 ~bytes:120_000;
+        (* Sequential follow-up is cheap. *)
+        Disk.read d ~file:1 ~off:120_000 ~bytes:120_000;
+        (* Different file seeks again. *)
+        Disk.read d ~file:2 ~off:0 ~bytes:0)
+  in
+  let expect = 0.008 +. 0.01 +. 0.0005 +. 0.01 +. 0.008 in
+  Alcotest.(check (float 1e-6)) "latency" expect elapsed;
+  Alcotest.(check int) "reads counted" 3 (Disk.reads d);
+  Alcotest.(check int) "bytes counted" 240_000 (Disk.bytes_read d)
 
 let test_disk_fifo_queueing () =
-  let d = Disk.create ~backend:`Legacy ~positioning_s:0.01 ~bytes_per_sec:1e9 () in
+  let d = Disk.create ~positioning_s:0.01 ~bytes_per_sec:1e9 () in
   let order = ref [] in
   let e = Engine.create () in
   for i = 1 to 3 do
@@ -54,27 +73,29 @@ let test_disk_write_accounting () =
 
 (* Contiguous requests from different fibers, submitted interleaved:
    the elevator sorts them back into file order inside the batch so the
-   later half rides the sequential discount. Legacy arrival order pays
+   later half rides the sequential discount. Arrival (FIFO) order pays
    full positioning for both. *)
 let test_disk_elevator_discount () =
-  let run backend =
-    let d =
-      Disk.create ~backend ~positioning_s:0.01
-        ~sequential_positioning_s:0.001 ~bytes_per_sec:1e9 ()
-    in
-    let e = Engine.create () in
-    (* Arrival order: second half first, then an unrelated file, then
-       the first half. *)
-    Engine.spawn e (fun () -> Disk.read d ~file:1 ~off:1000 ~bytes:1000);
-    Engine.spawn e (fun () -> Disk.read d ~file:9 ~off:0 ~bytes:1000);
-    Engine.spawn e (fun () -> Disk.read d ~file:1 ~off:0 ~bytes:1000);
-    Engine.run e;
-    Engine.now e
+  let positioning_s = 0.01 and sequential_positioning_s = 0.001 in
+  let bytes_per_sec = 1e9 in
+  (* Arrival order: second half first, then an unrelated file, then
+     the first half. *)
+  let arrivals = [ (1, 1000); (9, 0); (1, 0) ] in
+  let d = Disk.create ~positioning_s ~sequential_positioning_s ~bytes_per_sec () in
+  let e = Engine.create () in
+  List.iter
+    (fun (file, off) ->
+      Engine.spawn e (fun () -> Disk.read d ~file ~off ~bytes:1000))
+    arrivals;
+  Engine.run e;
+  let _, fifo_time =
+    fifo_model ~positioning_s ~sequential_positioning_s ~bytes_per_sec
+      (List.map (fun (file, off) -> (`Read, file, off, 1000)) arrivals)
   in
-  let legacy = run `Legacy and queued = run `Queued in
   (* Elevator order is 1:0, 1:1000 (discounted), 9:0. *)
-  Alcotest.(check (float 1e-9)) "legacy: three full seeks" 0.030003 legacy;
-  Alcotest.(check (float 1e-9)) "queued: one discounted" 0.021003 queued
+  Alcotest.(check (float 1e-9)) "fifo: three full seeks" 0.030003 fifo_time;
+  Alcotest.(check (float 1e-9)) "queued: one discounted" 0.021003
+    (Engine.now e)
 
 (* An async submission overlaps the submitter's own compute: total
    elapsed is max(cpu, disk), not the sum. *)
@@ -94,19 +115,20 @@ let test_disk_async_overlap () =
   Alcotest.(check int) "read accounted" 1 (Disk.reads d)
 
 (* qcheck oracle: the queued elevator services exactly the multiset of
-   requests FIFO does (same op/byte totals, every completion fires) and
-   never starves — with at most [qdepth] requests outstanding, a
-   request admitted while batch [k] is in flight completes by batch
-   [k+1]. *)
+   requests the FIFO model does (same op/byte totals, every completion
+   fires) and never starves — with at most [qdepth] requests
+   outstanding, a request admitted while batch [k] is in flight
+   completes by batch [k+1]. *)
 let test_disk_elevator_oracle =
   let gen =
     QCheck.Gen.(list_size (1 -- 24) (triple (0 -- 4) (0 -- 15) (1 -- 5000)))
   in
   QCheck.Test.make ~count:60 ~name:"elevator services FIFO's multiset"
     (QCheck.make gen) (fun reqs ->
-      let serve backend =
+      let op_of i = if i mod 4 = 0 then `Write else `Read in
+      let serve () =
         let d =
-          Disk.create ~backend ~qdepth:24 ~positioning_s:0.01
+          Disk.create ~qdepth:24 ~positioning_s:0.01
             ~sequential_positioning_s:0.001 ~bytes_per_sec:1e6 ()
         in
         let e = Engine.create () in
@@ -117,19 +139,25 @@ let test_disk_elevator_oracle =
                 (* Stagger some submissions into later batches. *)
                 if i mod 3 = 2 then Proc.sleep 0.005;
                 let submit_batch = Disk.batches d in
-                let op = if i mod 4 = 0 then `Write else `Read in
-                Disk.submit d ~op ~file ~off:(block * 4096) ~bytes (fun () ->
+                Disk.submit d ~op:(op_of i) ~file ~off:(block * 4096) ~bytes
+                  (fun () ->
                     incr done_;
-                    if backend = `Queued then
-                      let turn = Disk.batches d - submit_batch in
-                      if turn > 1 then
-                        Alcotest.failf "starved: waited %d batch turns" turn)))
+                    let turn = Disk.batches d - submit_batch in
+                    if turn > 1 then
+                      Alcotest.failf "starved: waited %d batch turns" turn)))
           reqs;
         Engine.run e;
         (!done_, Disk.reads d, Disk.writes d, Disk.bytes_read d,
          Disk.bytes_written d)
       in
-      serve `Queued = serve `Legacy)
+      let counts, _ =
+        fifo_model ~positioning_s:0.01 ~sequential_positioning_s:0.001
+          ~bytes_per_sec:1e6
+          (List.mapi
+             (fun i (file, block, bytes) -> (op_of i, file, block * 4096, bytes))
+             reqs)
+      in
+      serve () = counts)
 
 let test_filestore_registration () =
   let fs = Filestore.create () in
