@@ -151,6 +151,13 @@ let test_sim_engine =
              done);
          Iolite_sim.Engine.run e))
 
+(* Divide by 65536 for the host ns/byte of synthetic file contents. *)
+let test_content_fill =
+  let data = Bytes.create 65536 in
+  Test.make ~name:"fs: fill_bytes 64KB synthetic content"
+    (Staged.stage (fun () ->
+         Iolite_fs.Filestore.fill_bytes data 0 65536 ~file:7 ~off:(1 lsl 20)))
+
 let micro_tests =
   [
     test_pool_alloc_free;
@@ -162,6 +169,7 @@ let micro_tests =
     test_cache_hit;
     test_zipf;
     test_sim_engine;
+    test_content_fill;
   ]
 
 let run_micro () =

@@ -72,9 +72,12 @@ module Buffer : sig
   (** Write initial contents. Raises {!Immutable} once sealed. Charges a
       [Fill] data touch. *)
 
-  val fill_gen : t -> (int -> char) -> unit
-  (** Fill the whole buffer from an index function (used by the simulated
-      disk to materialize file contents). Charges [Fill]. *)
+  val fill_with : t -> (Bytes.t -> int -> int -> unit) -> unit
+  (** [fill_with b f] fills the whole buffer in one call: [f data pos len]
+      must write every byte of [data] at [pos, pos + len), the buffer's
+      backing range, and nothing outside it (used by the simulated disk
+      to materialize file contents a run at a time). Charges one [Fill]
+      of the buffer's length; skips [f] when data touching is off. *)
 
   val seal : t -> unit
   (** Freeze the contents. For untrusted producers this revokes the

@@ -51,26 +51,51 @@ let total_bytes t = t.total
 let metadata_bytes t = t.count * t.metadata_bytes_per_file
 
 (* SplitMix-style avalanche of (file, off): cheap, deterministic, and
-   distinct across files and offsets. *)
-let content_byte ~file ~off =
-  let z = (file * 0x9E3779B9) lxor (off * 0x85EBCA6B) in
+   distinct across files and offsets. The file and offset enter as the
+   terms [file * file_mix] and [off * off_mix]; a run of consecutive
+   offsets steps the offset term by [off_mix], so the bulk paths below
+   compute the file term once and never multiply by the offset. *)
+let file_mix = 0x9E3779B9
+let off_mix = 0x85EBCA6B
+
+(* The byte's character code. Mostly printable text with newlines
+   roughly every 64 bytes, so the line-oriented utilities (wc, grep) see
+   realistic input. The [abs] is branchless: [s] is all ones exactly
+   when [z] is negative. *)
+let[@inline] code fterm oterm =
+  let z = fterm lxor oterm in
   let z = (z lxor (z lsr 13)) * 0xC2B2AE35 in
   let z = z lxor (z lsr 16) in
-  (* Mostly printable text with newlines roughly every 64 bytes, so the
-     line-oriented utilities (wc, grep) see realistic input. *)
-  let v = abs z mod 96 in
-  if v = 95 then '\n' else Char.chr (32 + v)
+  let s = z asr (Sys.int_size - 1) in
+  let v = ((z lxor s) - s) mod 96 in
+  if v = 95 then 10 else 32 + v
+
+let content_byte ~file ~off = Char.chr (code (file * file_mix) (off * off_mix))
+
+let fill_bytes data pos len ~file ~off =
+  if pos < 0 || len < 0 || pos > Bytes.length data - len then
+    invalid_arg "Filestore.fill_bytes: range";
+  let fterm = file * file_mix in
+  let oterm = ref (off * off_mix) in
+  for i = pos to pos + len - 1 do
+    Bytes.unsafe_set data i (Char.unsafe_chr (code fterm !oterm));
+    oterm := !oterm + off_mix
+  done
 
 let fill_buffer t buf ~file ~off =
   check_id t file;
-  Iolite_core.Iobuf.Buffer.fill_gen buf (fun i -> content_byte ~file ~off:(off + i))
+  Iolite_core.Iobuf.Buffer.fill_with buf (fun data pos len ->
+      fill_bytes data pos len ~file ~off)
 
 let check_string ~file ~off s =
-  let ok = ref true in
-  String.iteri
-    (fun i c -> if c <> content_byte ~file ~off:(off + i) then ok := false)
-    s;
-  !ok
+  let fterm = file * file_mix in
+  let n = String.length s in
+  let rec go i oterm =
+    i = n
+    || Char.code (String.unsafe_get s i) = code fterm oterm
+       && go (i + 1) (oterm + off_mix)
+  in
+  go 0 (off * off_mix)
 
 let iter t f =
   for id = 0 to t.count - 1 do

@@ -99,3 +99,17 @@ val fetch_conv : Process.t -> file:int -> unit
 
 val cached_unified : Process.t -> file:int -> bool
 val cached_conv : Process.t -> file:int -> bool
+
+val dma_fill :
+  Kernel.t ->
+  pool:Iolite_core.Iobuf.Pool.t ->
+  bytes:int ->
+  (Iolite_core.Iobuf.Buffer.t -> pos:int -> unit) ->
+  Iolite_core.Iobuf.Agg.t
+(** [dma_fill kernel ~pool ~bytes fill] builds a caller-owned aggregate
+    of [bytes] bytes as the disk's DMA engine lands them: one paged,
+    kernel-produced buffer per {!Iolite_core.Iobuf.Pool.max_alloc}
+    bytes, each filled by [fill b ~pos] ([pos] is the buffer's offset in
+    the range) under [`Dma] placement, so the fill charges no CPU, then
+    sealed. Every disk and tier fill goes through it, as does the cache
+    warm start. *)

@@ -137,10 +137,8 @@ let check ~history ~crash_t ~log cfg =
     match Hashtbl.find_opt images file with
     | Some b -> b
     | None ->
-      let b =
-        Bytes.init cfg.file_size (fun off ->
-            Filestore.content_byte ~file ~off)
-      in
+      let b = Bytes.create cfg.file_size in
+      Filestore.fill_bytes b 0 cfg.file_size ~file ~off:0;
       Hashtbl.replace images file b;
       b
   in

@@ -312,7 +312,6 @@ let fig7 () =
    the policies evolve it from there. *)
 let preload_cache kernel ~conv ~trace ~prefix_ranks =
   let module Filecache = Iolite_core.Filecache in
-  let module Iobuf = Iolite_core.Iobuf in
   let module Iosys = Iolite_core.Iosys in
   let sys = Kernel.sys kernel in
   let cache =
@@ -323,7 +322,6 @@ let preload_cache kernel ~conv ~trace ~prefix_ranks =
   let budget =
     Iolite_mem.Physmem.io_budget (Iosys.physmem sys) * 9 / 10
   in
-  let kd = Iosys.kernel sys in
   (* Ranks eligible for preloading, most popular first. *)
   let ranks =
     match prefix_ranks with
@@ -351,20 +349,10 @@ let preload_cache kernel ~conv ~trace ~prefix_ranks =
         && size <= budget / 8
         && not (Filecache.covered cache ~file ~off:0 ~len:size)
       then begin
-        let rec build pos acc =
-          if pos >= size then List.rev acc
-          else begin
-            let n = min Iobuf.Pool.max_alloc (size - pos) in
-            let b = Iobuf.Pool.alloc ~paged:true pool ~producer:kd n in
-            Iosys.with_fill_mode sys `Dma (fun () ->
-                Iolite_fs.Filestore.fill_buffer store b ~file ~off:pos);
-            Iobuf.Buffer.seal b;
-            build (pos + n) (Iobuf.Agg.of_buffer_owned b :: acc)
-          end
+        let agg =
+          Iolite_os.Fileio.dma_fill kernel ~pool ~bytes:size (fun b ~pos ->
+              Iolite_fs.Filestore.fill_buffer store b ~file ~off:pos)
         in
-        let parts = build 0 [] in
-        let agg = Iobuf.Agg.concat_list parts in
-        List.iter Iobuf.Agg.free parts;
         Filecache.insert cache ~file ~off:0 agg
       end)
   in
@@ -1624,6 +1612,12 @@ let tier_server kernel ~policy =
     srv_latency = (fun () -> Flash.latency_stats f);
   }
 
+(* The first [len] bytes of a file, generated a run at a time. *)
+let file_contents ~file ~len =
+  let b = Bytes.create len in
+  Iolite_fs.Filestore.fill_bytes b 0 len ~file ~off:0;
+  Bytes.unsafe_to_string b
+
 (* Warm-start the tier the way [preload_cache] warms DRAM: the popular
    files that did not fit (or were not admitted) upstairs are demoted
    straight in, up to 90% of the tier budget. Contents come from the
@@ -1668,8 +1662,7 @@ let preload_tier kernel ~trace ~prefix_ranks =
               && not (Tier.covered tier ~file ~off:0 ~len:size)
             then
               Tier.demote tier ~file ~off:0 ~gen:0
-                (String.init size (fun i ->
-                     Iolite_fs.Filestore.content_byte ~file ~off:i)));
+                (file_contents ~file ~len:size));
           load rest
         end
     in
@@ -1788,8 +1781,7 @@ let tier_probe_run () =
          timed thit;
          (* A write staged ahead of its disk ack exercises wb_stage. *)
          Iolite_os.Fileio.write_string proc ~file ~off:0
-           (String.init 2048 (fun i ->
-                Iolite_fs.Filestore.content_byte ~file ~off:i));
+           (file_contents ~file ~len:2048);
          Iolite_os.Fileio.fsync proc ~file));
   Engine.run engine;
   let m = Kernel.metrics kernel in

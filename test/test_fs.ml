@@ -230,6 +230,99 @@ let test_fill_buffer_and_check () =
     (Filestore.check_string ~file ~off:0 s);
   Iolite_core.Iobuf.Agg.free agg
 
+(* The content function as it was first written, one byte at a time:
+   the oracle for every bulk path. Keep it verbatim. *)
+let reference_byte ~file ~off =
+  let z = (file * 0x9E3779B9) lxor (off * 0x85EBCA6B) in
+  let z = (z lxor (z lsr 13)) * 0xC2B2AE35 in
+  let z = z lxor (z lsr 16) in
+  let v = abs z mod 96 in
+  if v = 95 then '\n' else Char.chr (32 + v)
+
+let reference ~file ~off len =
+  String.init len (fun i -> reference_byte ~file ~off:(off + i))
+
+(* Frozen literals: a change to the content function, or to the
+   reference above, fails here first. *)
+let test_content_golden () =
+  List.iter
+    (fun (what, file, off, golden) ->
+      Alcotest.(check string) (what ^ " reference") golden (reference ~file ~off 64);
+      let b = Bytes.create 64 in
+      Filestore.fill_bytes b 0 64 ~file ~off;
+      Alcotest.(check string) (what ^ " fill_bytes") golden (Bytes.to_string b);
+      Alcotest.(check string) (what ^ " content_byte") golden
+        (String.init 64 (fun i -> Filestore.content_byte ~file ~off:(off + i))))
+    [
+      ( "file 0 at 0", 0, 0,
+        " )rO5c tKSHt]ByS$X\n</kB,/.[xPR;EXJ6&pwYH]0TR=~'J0@{xKYo,?m%:Es7(" );
+      ( "file 7 at 1 MiB", 7, 1 lsl 20,
+        "(D)>S]WHhlOO*Oa)Ov0<$J*VKo2i=K(7]J?X>QmAuTy%n`b_>F7tjv<sBGAxXWV$" );
+    ]
+
+(* Every bulk path equals the reference byte for byte. [fill_buffer]
+   needs a registered file, so it runs on one of [stored] files at the
+   same offset, over at most one buffer. *)
+let test_content_oracle =
+  let stored = 16 in
+  let sys = Iolite_core.Iosys.create () in
+  let d = Iolite_core.Iosys.new_domain sys ~name:"d" in
+  let pool =
+    Iolite_core.Iobuf.Pool.create sys ~name:"oracle"
+      ~acl:(Iolite_mem.Vm.Only (Iolite_mem.Pdomain.Set.singleton d))
+  in
+  let fs = Filestore.create () in
+  for i = 0 to stored - 1 do
+    ignore (Filestore.add fs ~name:(Printf.sprintf "/f%d" i) ~size:0)
+  done;
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (file, off, pos, (len, flip)) -> (file, off, pos, len, flip))
+        (quad (0 -- (1 lsl 20)) (0 -- (1 lsl 40)) (0 -- 100)
+           (pair (0 -- (70 * 1024)) (0 -- max_int))))
+  in
+  let print (file, off, pos, len, flip) =
+    Printf.sprintf "file=%d off=%d pos=%d len=%d flip=%d" file off pos len flip
+  in
+  QCheck.Test.make ~count:100 ~name:"bulk content equals the reference"
+    (QCheck.make ~print gen) (fun (file, off, pos, len, flip) ->
+      let expect = reference ~file ~off len in
+      (* fill_bytes, at a destination offset, leaving its neighbours. *)
+      let data = Bytes.make (pos + len + 8) '#' in
+      Filestore.fill_bytes data pos len ~file ~off;
+      let bulk_ok =
+        Bytes.sub_string data pos len = expect
+        && Bytes.sub_string data 0 pos = String.make pos '#'
+        && Bytes.sub_string data (pos + len) 8 = "########"
+      in
+      let byte_ok =
+        String.init len (fun i -> Filestore.content_byte ~file ~off:(off + i))
+        = expect
+      in
+      let buffer_ok =
+        let file = file mod stored in
+        let n = max 1 (min len Iolite_core.Iobuf.Pool.max_alloc) in
+        let b = Iolite_core.Iobuf.Pool.alloc pool ~producer:d n in
+        Filestore.fill_buffer fs b ~file ~off;
+        let got = Iolite_core.Iobuf.Buffer.sub_string b ~off:0 ~len:n in
+        Iolite_core.Iobuf.Buffer.decr_ref b;
+        got = reference ~file ~off n
+      in
+      (* Changing any one byte by a nonzero amount mod 256 is caught:
+         the first, the last and a random one. *)
+      let rejects i =
+        let delta = 1 + ((flip lsr 20) mod 255) in
+        let bad = Bytes.of_string expect in
+        Bytes.set bad i (Char.chr ((Char.code expect.[i] + delta) land 255));
+        not (Filestore.check_string ~file ~off (Bytes.to_string bad))
+      in
+      let check_ok =
+        Filestore.check_string ~file ~off expect
+        && (len = 0 || List.for_all rejects [ 0; len - 1; flip mod len ])
+      in
+      bulk_ok && byte_ok && buffer_ok && check_ok)
+
 let test_iter () =
   let fs = Filestore.create () in
   ignore (Filestore.add fs ~name:"/a" ~size:10);
@@ -257,6 +350,8 @@ let suites =
         Alcotest.test_case "deterministic content" `Quick test_content_deterministic;
         Alcotest.test_case "newline density" `Quick test_content_has_newlines;
         Alcotest.test_case "fill buffer" `Quick test_fill_buffer_and_check;
+        Alcotest.test_case "golden content" `Quick test_content_golden;
+        QCheck_alcotest.to_alcotest test_content_oracle;
         Alcotest.test_case "iter" `Quick test_iter;
       ] );
   ]

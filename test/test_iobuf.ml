@@ -42,7 +42,7 @@ let test_immutability () =
   Alcotest.check_raises "write after seal" Iobuf.Buffer.Immutable (fun () ->
       Iobuf.Buffer.blit_string b ~src:"x" ~src_off:0 ~dst_off:0 ~len:1);
   Alcotest.check_raises "fill after seal" Iobuf.Buffer.Immutable (fun () ->
-      Iobuf.Buffer.fill_gen b (fun _ -> 'x'));
+      Iobuf.Buffer.fill_with b (fun data pos len -> Bytes.fill data pos len 'x'));
   Iobuf.Buffer.decr_ref b
 
 let test_concat () =
@@ -175,6 +175,37 @@ let test_fill_accounting () =
   let after = Iolite_obs.Metrics.get (Iosys.metrics sys) "bytes.filled" in
   Alcotest.(check int) "fill charged once" 300 (after - before);
   Iobuf.Agg.free a
+
+(* [fill_with] charges one [Fill] of the buffer's length and hands the
+   callback exactly the buffer's backing range; with data touching off
+   it charges the same and leaves the bytes alone. *)
+let test_fill_with () =
+  let sys, app, pool = mk () in
+  let filled () = Iolite_obs.Metrics.get (Iosys.metrics sys) "bytes.filled" in
+  let b = Iobuf.Pool.alloc pool ~producer:app 300 in
+  let before = filled () in
+  Iobuf.Buffer.fill_with b (fun data pos len ->
+      Alcotest.(check int) "range is the buffer" 300 len;
+      Bytes.fill data pos len 'f');
+  Alcotest.(check int) "fill charged once" 300 (filled () - before);
+  Alcotest.(check string) "contents" (String.make 300 'f')
+    (Iobuf.Buffer.sub_string b ~off:0 ~len:300);
+  let c = Iobuf.Pool.alloc pool ~producer:app 200 in
+  Iobuf.Buffer.blit_string c ~src:(String.make 200 'c') ~src_off:0 ~dst_off:0
+    ~len:200;
+  Iosys.set_touch_data sys false;
+  let called = ref false in
+  let before = filled () in
+  Iobuf.Buffer.fill_with c (fun data pos len ->
+      called := true;
+      Bytes.fill data pos len 'z');
+  Iosys.set_touch_data sys true;
+  Alcotest.(check int) "fill charged without touching" 200 (filled () - before);
+  Alcotest.(check bool) "callback skipped" false !called;
+  Alcotest.(check string) "store bytes untouched" (String.make 200 'c')
+    (Iobuf.Buffer.sub_string c ~off:0 ~len:200);
+  Iobuf.Buffer.decr_ref b;
+  Iobuf.Buffer.decr_ref c
 
 let test_transfer_maps_once () =
   let sys, app, pool = mk () in
@@ -558,6 +589,7 @@ let suites =
         Alcotest.test_case "alloc bounds" `Quick test_alloc_bounds;
         Alcotest.test_case "acl producer" `Quick test_acl_rejected_producer;
         Alcotest.test_case "copy accounting" `Quick test_copy_accounting;
+        Alcotest.test_case "fill_with accounting" `Quick test_fill_with;
         Alcotest.test_case "fill accounting" `Quick test_fill_accounting;
         Alcotest.test_case "overwrite unshared" `Quick test_try_overwrite_unshared;
         Alcotest.test_case "overwrite shared refused" `Quick test_try_overwrite_shared_refused;
