@@ -22,29 +22,17 @@
          # holding 1k/10k entries (default ./BENCH_cache.json, appended)
      dune exec bench/main.exe -- agg [label] [out.json]
          # deep-aggregate scaling section: repeated 1 KB appends up to ~MBs,
-         # splits at random offsets, byte gets at random indices. Prints a
-         # table and writes machine-readable JSON (default ./BENCH_agg.json).
+         # splits at random offsets, byte gets at random indices. Prints
+         # each op as measured and writes machine-readable JSON (default
+         # ./BENCH_agg.json).
          # If the output file already holds a run history, the new run is
          # appended to its "runs" array, so the checked-in BENCH_agg.json
          # accumulates the perf trajectory across PRs.
-     dune exec bench/main.exe -- async [label] [out.json] [scale]
-         # async disk pipeline, warm and memory-pressure scenarios —
-         # request-latency percentiles, disk utilization,
-         # batching/coalescing/readahead counters, and a cold
-         # sequential-read time (default ./BENCH_async.json).
-     dune exec bench/main.exe -- write [label] [out.json] [crash_runs]
-         # delayed write-back: clustered disk write ops on the sequential
-         # headline, the CAWL burst sweep at two flush intervals, and the
-         # crash-at-any-point consistency harness (default
-         # ./BENCH_write.json, 1000 crash points).
-     dune exec bench/main.exe -- tier [label] [out.json] [scale]
-         # NVMM second cache tier: Fig. 10-style working-set sweeps on a
-         # small (64MB) machine, DRAM-only baseline first then the
-         # tiered configuration, plus the single-request latency probe
-         # (DRAM hit / warm tier hit / cold disk fill). Appends one
-         # "dram-baseline" run and one "tiered" run with the demotion /
-         # promotion / staging traffic decomposed per working-set point
-         # (default ./BENCH_tier.json).
+     dune exec bench/main.exe -- <scenario> [label] [out.json] [tiny]
+         # one extension sweep of Experiments.scenarios (scale, async,
+         # write, tier) at its recorded size, or at its test-suite size
+         # with "tiny"; prints the tables and appends the run to the
+         # scenario's history (default ./BENCH_<scenario>.json).
 *)
 
 open Bechamel
@@ -56,6 +44,9 @@ module Filecache = Iolite_core.Filecache
 module Cksum = Iolite_net.Cksum
 module Vm = Iolite_mem.Vm
 module Pdomain = Iolite_mem.Pdomain
+module Scenario = Iolite_workload.Scenario
+
+let sprintf = Printf.sprintf
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmark fixtures                                            *)
@@ -209,15 +200,32 @@ let run_micro () =
    list to a rope; the recorded numbers in BENCH_agg.json are the
    regression baseline for later PRs. *)
 
-type agg_entry = {
-  ag_op : string;
-  ag_pieces : int;
-  ag_piece_size : int;
-  ag_iters : int;
-  ag_total_ns : float;
-}
+(* One history entry: [iters] operations of [op] on an aggregate of
+   [pieces] slices of [piece_size] bytes took [total_ns] host ns. *)
+let entry ~op ~pieces ~piece_size ~iters total_ns =
+  Scenario.
+    [
+      str "op" op;
+      count "pieces" pieces;
+      int "piece_size" ~unit:"bytes" piece_size;
+      count "iters" iters;
+      float ~clock:Host "total_ns" ~unit:"ns" ~dp:0 total_ns;
+      float ~clock:Host "ns_per_op" ~unit:"ns" ~dp:1
+        (total_ns /. float_of_int iters);
+    ]
 
-let ns_per_op e = e.ag_total_ns /. float_of_int e.ag_iters
+let ns_per_op row = Scenario.get_float row "ns_per_op"
+
+(* A section's entries in measurement order, each printed as it lands. *)
+let recorder () =
+  let entries = ref [] in
+  ( (fun row ->
+      Printf.printf "  %-18s %10d iters %12.2f ns/op\n%!"
+        (Scenario.get_str row "op")
+        (Scenario.get_int row "iters")
+        (ns_per_op row);
+      entries := row :: !entries),
+    fun () -> List.rev !entries )
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 
@@ -234,14 +242,7 @@ let bench_append pool d ~pieces ~piece_size =
   done;
   let dt = now_ns () -. t0 in
   Iobuf.Agg.free piece;
-  ( !acc,
-    {
-      ag_op = "append";
-      ag_pieces = pieces;
-      ag_piece_size = piece_size;
-      ag_iters = pieces;
-      ag_total_ns = dt;
-    } )
+  (!acc, entry ~op:"append" ~pieces ~piece_size ~iters:pieces dt)
 
 let bench_split agg ~iters rng =
   let total = Iobuf.Agg.length agg in
@@ -253,14 +254,8 @@ let bench_split agg ~iters rng =
     Iobuf.Agg.free l;
     Iobuf.Agg.free r
   done;
-  let dt = now_ns () -. t0 in
-  {
-    ag_op = "split";
-    ag_pieces = pieces;
-    ag_piece_size = total / max 1 pieces;
-    ag_iters = iters;
-    ag_total_ns = dt;
-  }
+  entry ~op:"split" ~pieces ~piece_size:(total / max 1 pieces) ~iters
+    (now_ns () -. t0)
 
 let bench_get agg ~iters rng =
   let total = Iobuf.Agg.length agg in
@@ -271,187 +266,38 @@ let bench_get agg ~iters rng =
     let i = Iolite_util.Rng.int rng total in
     sink := !sink + Char.code (Iobuf.Agg.get agg i)
   done;
-  let dt = now_ns () -. t0 in
   ignore !sink;
-  {
-    ag_op = "get";
-    ag_pieces = pieces;
-    ag_piece_size = total / max 1 pieces;
-    ag_iters = iters;
-    ag_total_ns = dt;
-  }
+  entry ~op:"get" ~pieces ~piece_size:(total / max 1 pieces) ~iters
+    (now_ns () -. t0)
 
-let agg_json_of_run ~label entries =
-  let b = Stdlib.Buffer.create 1024 in
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf "    {\n      \"label\": %S,\n      \"entries\": [\n" label);
-  List.iteri
-    (fun i e ->
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf
-           "        {\"op\": %S, \"pieces\": %d, \"piece_size\": %d, \
-            \"iters\": %d, \"total_ns\": %.0f, \"ns_per_op\": %.1f}%s\n"
-           e.ag_op e.ag_pieces e.ag_piece_size e.ag_iters e.ag_total_ns
-           (ns_per_op e)
-           (if i = List.length entries - 1 then "" else ",")))
-    entries;
-  Stdlib.Buffer.add_string b "      ]\n    }";
-  Stdlib.Buffer.contents b
-
-(* Field units of each history file's runs, written into a fresh
-   file's header. Every value names its clock: "virtual" is the
-   modelled 1999 machine, "host wall-clock" the simulator itself; plain
-   counts and sizes have no clock. *)
-let units groups =
-  List.concat_map (fun (u, names) -> List.map (fun n -> (n, u)) names) groups
-
-let ns_host = "ns (host wall-clock)"
-let s_virtual = "s (virtual)"
-
-let micro_units =
-  units
-    [
-      ("count", [ "pieces"; "iters" ]);
-      ("bytes", [ "piece_size" ]);
-      (ns_host, [ "total_ns"; "ns_per_op" ]);
-    ]
-
-let scale_units =
-  units
-    [
-      ( "count",
-        [ "conns"; "requests"; "fresh_warm"; "recycled_warm"; "peak_timers";
-          "idle_closed" ] );
-      ("requests/s (virtual)", [ "sim_rps" ]);
-      (s_virtual, [ "p50_s"; "p90_s"; "p99_s" ]);
-      (ns_host, [ "wall_ns_per_req"; "timer_ns_per_op" ]);
-    ]
-
-let async_units =
-  units
-    [
-      ("MB", [ "mem_mb" ]);
-      ( "count",
-        [ "requests"; "disk_reads"; "disk_writes"; "batches"; "batched";
-          "fill_coalesced"; "readahead_issued"; "readahead_hit";
-          "swap_writes"; "attr_completed" ] );
-      ( s_virtual,
-        [ "p50_s"; "p90_s"; "p99_s"; "seq_read_s"; "attr_wall_s";
-          "attr_queue_s"; "attr_disk_service_s"; "attr_coalesced_wait_s";
-          "attr_vm_stall_s"; "attr_cpu_s" ] );
-      ("ratio (virtual)", [ "disk_util"; "tail_covered_min" ]);
-    ]
-
-let write_units =
-  units
-    [
-      ( "count",
-        [ "writes"; "disk_writes"; "cluster_writes"; "clustered"; "flushes";
-          "superseded"; "throttled"; "crash.points"; "crash.failures";
-          "crash.durable_min"; "crash.durable_max" ] );
-      ("bytes", [ "burst"; "bytes"; "disk_bytes" ]);
-      ("ratio", [ "x" ]);
-      (s_virtual, [ "flush_interval"; "write_s" ]);
-      ("MiB/s (virtual)", [ "mbps" ]);
-    ]
-
-let tier_units =
-  units
-    [
-      ("MB", [ "ws_mb" ]);
-      ( "count",
-        [ "dram_hits"; "dram_evictions"; "tier_hit"; "tier_miss";
-          "tier_demote"; "tier_promote"; "tier_wb_stage"; "tier_evict";
-          "disk_reads"; "probe.demote"; "probe.promote"; "probe.wb_stage" ] );
-      ("Mb/s (virtual)", [ "mbps" ]);
-      ( s_virtual,
-        [ "probe.dram_hit_s"; "probe.warm_tier_hit_s"; "probe.cold_disk_fill_s" ]
-      );
-      ("ratio (virtual)", [ "probe.speedup" ]);
-    ]
-
-let units_json units =
-  "{\n"
-  ^ String.concat ",\n"
-      (List.map (fun (k, v) -> Printf.sprintf "    %S: %S" k v) units)
-  ^ "\n  }"
-
-(* Append one labeled run to a JSON history file: the checked-in
-   BENCH_*.json files accumulate the perf trajectory across PRs instead
-   of being clobbered per run. A history whose tail is not the expected
-   closing brackets (trailing whitespace aside) is left untouched and
-   the bench exits non-zero — recorded runs are never discarded. *)
-let append_json_text ~benchmark ~units ~out ~run_json =
-  let closing = "\n  ]\n}" in
-  let existing =
-    match open_in_bin out with
-    | exception Sys_error _ -> None
-    | ic ->
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Some s
-  in
-  let content, verb =
-    match existing with
-    | None ->
-      ( Printf.sprintf
-          "{\n  \"benchmark\": %S,\n  \"units\": %s,\n  \"runs\": [\n%s%s\n"
-          benchmark (units_json units) run_json closing,
-        "wrote" )
-    | Some s ->
-      let body = String.trim s in
-      let n = String.length body and k = String.length closing in
-      if n > k && String.sub body (n - k) k = closing then
-        (String.sub body 0 (n - k) ^ ",\n" ^ run_json ^ closing ^ "\n",
-         "appended run to")
-      else begin
-        Printf.eprintf
-          "  %s is not a run history ending in %S; left untouched\n%!" out
-          closing;
-        exit 1
-      end
-  in
-  try
-    let oc = open_out_bin out in
-    output_string oc content;
-    close_out oc;
-    Printf.printf "  %s %s\n%!" verb out
-  with Sys_error e -> Printf.printf "  could not write %s: %s\n%!" out e
+(* A history that cannot be extended is left untouched and the bench
+   exits non-zero: recorded runs are never discarded. *)
+let exit_on_error = function
+  | Ok () -> ()
+  | Error msg ->
+    Printf.eprintf "  %s\n%!" msg;
+    exit 1
 
 let append_json_run ~benchmark ~out ~label entries =
-  append_json_text ~benchmark ~units:micro_units ~out
-    ~run_json:(agg_json_of_run ~label entries)
+  exit_on_error (Scenario.record ~benchmark ~label ~out [ Scenario.one entries ])
 
-let run_agg ?(label = "current") ?(out = "BENCH_agg.json") () =
+let run_agg ~label ~out =
   Printf.printf "\n== Deep-aggregate scaling (label: %s) ==\n" label;
   let _, d, pool = fixture () in
   let rng = Iolite_util.Rng.create 42L in
-  let entries = ref [] in
-  let record e = entries := e :: !entries in
-  Printf.printf "  %-8s %8s %12s %14s %12s\n" "op" "pieces" "iters"
-    "total (ms)" "ns/op";
-  let show e =
-    Printf.printf "  %-8s %8d %12d %14.2f %12.1f\n%!" e.ag_op e.ag_pieces
-      e.ag_iters (e.ag_total_ns /. 1e6) (ns_per_op e)
-  in
+  let record, entries = recorder () in
   List.iter
     (fun pieces ->
       let agg, append = bench_append pool d ~pieces ~piece_size:1024 in
       record append;
-      show append;
       (* Split/get stress only the deepest aggregate. *)
       if pieces = 1024 then begin
-        let split = bench_split agg ~iters:1000 rng in
-        record split;
-        show split;
-        let get = bench_get agg ~iters:10000 rng in
-        record get;
-        show get
+        record (bench_split agg ~iters:1000 rng);
+        record (bench_get agg ~iters:10000 rng)
       end;
       Iobuf.Agg.free agg)
     [ 128; 256; 512; 1024; 2048 ];
-  let entries = List.rev !entries in
-  append_json_run ~benchmark:"deep-agg" ~out ~label entries
+  append_json_run ~benchmark:"deep-agg" ~out ~label (entries ())
 
 (* ------------------------------------------------------------------ *)
 (* Checksum scaling                                                    *)
@@ -464,26 +310,14 @@ let run_agg ?(label = "current") ?(out = "BENCH_agg.json") () =
    baseline") are the regression baseline that the rope-memo runs are
    compared against. *)
 
-let cksum_show e =
-  Printf.printf "  %-18s %8d %10d %14.2f %12.1f\n%!" e.ag_op e.ag_pieces
-    e.ag_iters (e.ag_total_ns /. 1e6) (ns_per_op e)
-
 let time_op ~op ~pieces ~piece_size ~iters f =
   let t0 = now_ns () in
   for _ = 1 to iters do
     f ()
   done;
-  let dt = now_ns () -. t0 in
-  {
-    ag_op = op;
-    ag_pieces = pieces;
-    ag_piece_size = piece_size;
-    ag_iters = iters;
-    ag_total_ns = dt;
-  }
+  entry ~op ~pieces ~piece_size ~iters (now_ns () -. t0)
 
-let run_cksum ?(label = "current") ?(out = "BENCH_cksum.json") ?(pieces = 1024)
-    () =
+let run_cksum ~label ~out ~pieces =
   Printf.printf "\n== Checksum scaling (label: %s, %d slices) ==\n" label
     pieces;
   let _, d, pool = fixture () in
@@ -506,13 +340,7 @@ let run_cksum ?(label = "current") ?(out = "BENCH_cksum.json") ?(pieces = 1024)
     !acc
   in
   let total = Iobuf.Agg.length agg in
-  let entries = ref [] in
-  let record e =
-    entries := e :: !entries;
-    cksum_show e
-  in
-  Printf.printf "  %-18s %8s %10s %14s %12s\n" "op" "slices" "iters"
-    "total (ms)" "ns/op";
+  let record, entries = recorder () in
   (* Uncached full scan: the per-send cost a system with no checksum
      reuse pays (and the Spliced/sendfile path before this PR). *)
   record
@@ -559,7 +387,7 @@ let run_cksum ?(label = "current") ?(out = "BENCH_cksum.json") ?(pieces = 1024)
     (time_op ~op:"pkt_memo_warm" ~pieces ~piece_size ~iters:200 (fun () ->
          ignore (Cksum.packet_sums_memo agg ~mtu)));
   Iobuf.Agg.free agg;
-  append_json_run ~benchmark:"cksum" ~out ~label (List.rev !entries)
+  append_json_run ~benchmark:"cksum" ~out ~label (entries ())
 
 (* ------------------------------------------------------------------ *)
 (* Cross-domain transfer scaling                                       *)
@@ -576,8 +404,7 @@ let run_cksum ?(label = "current") ?(out = "BENCH_cksum.json") ?(pieces = 1024)
    regression baseline the memoized chunk-set/grant-epoch runs are
    compared against. *)
 
-let run_transfer ?(label = "current") ?(out = "BENCH_transfer.json")
-    ?(pieces = 1024) () =
+let run_transfer ~label ~out ~pieces =
   Printf.printf "\n== Cross-domain transfer (label: %s, %d slices) ==\n" label
     pieces;
   let sys = Iosys.create ~capacity:(256 * 1024 * 1024) () in
@@ -600,13 +427,7 @@ let run_transfer ?(label = "current") ?(out = "BENCH_transfer.json")
     done;
     !acc
   in
-  let entries = ref [] in
-  let record e =
-    entries := e :: !entries;
-    cksum_show e
-  in
-  Printf.printf "  %-18s %8s %10s %14s %12s\n" "op" "slices" "iters"
-    "total (ms)" "ns/op";
+  let record, entries = recorder () in
   (* Cold send: the consumer has never seen the stream's chunks, so every
      one of them must be mapped. *)
   record
@@ -625,7 +446,7 @@ let run_transfer ?(label = "current") ?(out = "BENCH_transfer.json")
     (time_op ~op:"check_warm" ~pieces ~piece_size ~iters:2000 (fun () ->
          Transfer.check_readable sys reader agg));
   Iobuf.Agg.free agg;
-  append_json_run ~benchmark:"transfer" ~out ~label (List.rev !entries)
+  append_json_run ~benchmark:"transfer" ~out ~label (entries ())
 
 (* ------------------------------------------------------------------ *)
 (* Unified file cache scaling                                          *)
@@ -644,16 +465,9 @@ let run_transfer ?(label = "current") ?(out = "BENCH_transfer.json")
    ("list-baseline") walked offset-sorted per-file lists and are the
    regression baseline the interval-index runs are compared against. *)
 
-let run_cache ?(label = "current") ?(out = "BENCH_cache.json") ?scales () =
-  let scales = match scales with Some l -> l | None -> [ 1000; 10_000 ] in
+let run_cache ~label ~out ~scales =
   Printf.printf "\n== Unified file cache scaling (label: %s) ==\n" label;
-  let entries = ref [] in
-  let record e =
-    entries := e :: !entries;
-    cksum_show e
-  in
-  Printf.printf "  %-18s %8s %10s %14s %12s\n" "op" "entries" "iters"
-    "total (ms)" "ns/op";
+  let record, entries = recorder () in
   List.iter
     (fun n ->
       let sys = Iosys.create ~capacity:(256 * 1024 * 1024) () in
@@ -705,7 +519,7 @@ let run_cache ?(label = "current") ?(out = "BENCH_cache.json") ?scales () =
         (time_op ~op:"evict_drain" ~pieces:n ~piece_size:esz ~iters:(n / 2)
            (fun () -> ignore (Filecache.evict_one cache))))
     scales;
-  append_json_run ~benchmark:"cache" ~out ~label (List.rev !entries)
+  append_json_run ~benchmark:"cache" ~out ~label (entries ())
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead                                              *)
@@ -721,11 +535,7 @@ let run_cache ?(label = "current") ?(out = "BENCH_cache.json") ?scales () =
 
 module Trace = Iolite_obs.Trace
 
-let obs_show e =
-  Printf.printf "  %-18s %10d %14.2f %12.2f\n%!" e.ag_op e.ag_iters
-    (e.ag_total_ns /. 1e6) (ns_per_op e)
-
-let run_obs ?(label = "current") ?(out = "BENCH_obs.json") () =
+let run_obs ~label ~out =
   Printf.printf "\n== Observability overhead (label: %s) ==\n" label;
   let iters = 5_000_000 in
   let sink = ref 0 in
@@ -733,21 +543,12 @@ let run_obs ?(label = "current") ?(out = "BENCH_obs.json") () =
      per-iteration delta of a few tenths of a ns, easily swamped by a
      scheduling blip in a single run. *)
   let best op f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let e = time_op ~op ~pieces:0 ~piece_size:0 ~iters f in
-      if e.ag_total_ns < !best then best := e.ag_total_ns
-    done;
-    { ag_op = op; ag_pieces = 0; ag_piece_size = 0; ag_iters = iters;
-      ag_total_ns = !best }
+    let total e = Scenario.get_float e "total_ns" in
+    List.init 3 (fun _ -> time_op ~op ~pieces:0 ~piece_size:0 ~iters f)
+    |> List.fold_left (fun a e -> if total e < total a then e else a)
+         (entry ~op ~pieces:0 ~piece_size:0 ~iters infinity)
   in
-  let entries = ref [] in
-  let record e =
-    entries := e :: !entries;
-    obs_show e
-  in
-  Printf.printf "  %-18s %10s %14s %12s\n" "variant" "iters" "total (ms)"
-    "ns/op";
+  let record, entries = recorder () in
   let bare =
     best "bare_loop" (fun () -> sink := !sink + 1)
   in
@@ -821,245 +622,53 @@ let run_obs ?(label = "current") ?(out = "BENCH_obs.json") () =
       "  WARN: disabled tracer adds %.2f ns/event over the bare loop \
        (> 2.0 ns budget)\n"
       delta;
-  append_json_run ~benchmark:"obs" ~out ~label (List.rev !entries)
+  append_json_run ~benchmark:"obs" ~out ~label (entries ())
 
 (* ------------------------------------------------------------------ *)
-(* C1M connection-scale sweep                                          *)
+(* Extension sweeps                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Holds 10^3..10^6 concurrent persistent connections against Flash-Lite
-   and measures per-request wall cost, request latency percentiles,
-   warm-phase fresh-chunk allocations, and timer cancel+insert cost at
-   full population on the default configuration ("wheel-sharded": timer
-   wheel, 16-way shards). Flat wall ns/req and timer ns/op across three
-   decades of population is the acceptance criterion. The recorded
-   "heap-flat" entries measured the removed heap-timer, single-shard
-   configuration. *)
+(* Every history section takes [LABEL] [OUT] [ARG]: the run's label,
+   the history file, and a section-specific size. *)
+let history_args ~out rest =
+  match rest with
+  | [] -> ("current", out, None)
+  | [ label ] -> (label, out, None)
+  | label :: out :: rest -> (label, out, List.nth_opt rest 0)
 
-let scale_json_of_run ~label points =
-  let module E = Iolite_workload.Experiments in
-  let b = Stdlib.Buffer.create 1024 in
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf "    {\n      \"label\": %S,\n      \"entries\": [\n" label);
-  List.iteri
-    (fun i p ->
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf
-           "        {\"conns\": %d, \"config\": \"wheel-sharded\", \
-            \"requests\": %d, \"sim_rps\": %.0f, \"wall_ns_per_req\": %.1f, \"p50_s\": %.6f, \
-            \"p90_s\": %.6f, \"p99_s\": %.6f, \"fresh_warm\": %d, \
-            \"recycled_warm\": %d, \"timer_ns_per_op\": %.1f, \
-            \"peak_timers\": %d, \"idle_closed\": %d}%s\n"
-           p.E.c1m_conns p.E.c1m_requests p.E.c1m_sim_rps
-           p.E.c1m_wall_ns_per_req p.E.c1m_p50 p.E.c1m_p90 p.E.c1m_p99
-           p.E.c1m_fresh_warm p.E.c1m_recycled_warm p.E.c1m_timer_ns_per_op
-           p.E.c1m_peak_timers p.E.c1m_idle_closed
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Stdlib.Buffer.add_string b "      ]\n    }";
-  Stdlib.Buffer.contents b
+(* ARG is cksum's and transfer's slice count and cache's entry count. *)
+let micros =
+  let pieces n = Option.value n ~default:1024 in
+  [
+    ("agg", fun ~label ~out _ -> run_agg ~label ~out);
+    ("cksum", fun ~label ~out n -> run_cksum ~label ~out ~pieces:(pieces n));
+    ( "transfer",
+      fun ~label ~out n -> run_transfer ~label ~out ~pieces:(pieces n) );
+    ( "cache",
+      fun ~label ~out n ->
+        run_cache ~label ~out
+          ~scales:(match n with Some n -> [ n ] | None -> [ 1000; 10_000 ]) );
+    ("obs", fun ~label ~out _ -> run_obs ~label ~out);
+  ]
 
-let run_scale ?(label = "current") ?(out = "BENCH_scale.json")
-    ?(conns = [ 1_000; 10_000; 100_000; 1_000_000 ]) () =
-  Printf.printf "\n== C1M connection-scale sweep (label: %s) ==\n%!" label;
-  let module E = Iolite_workload.Experiments in
-  let points =
-    List.map
-      (fun n ->
-        Printf.printf "  running %d conns...\n%!" n;
-        let p = E.c1m ~conns:n () in
-        (* each point retires a whole simulated machine *)
-        Gc.full_major ();
-        p)
-      conns
+let find_scenario name =
+  List.find_opt
+    (fun (sc : Scenario.t) -> sc.name = name)
+    Iolite_workload.Experiments.scenarios
+
+let run_scenario (sc : Scenario.t) ~label ~out size =
+  let size =
+    match size with
+    | None | Some "full" -> Scenario.Full
+    | Some "tiny" -> Tiny
+    | Some s ->
+      Printf.eprintf "%s: size %S is neither full nor tiny\n" sc.name s;
+      exit 2
   in
-  E.print_c1m points;
-  append_json_text ~benchmark:"c1m-scale" ~units:scale_units ~out
-    ~run_json:(scale_json_of_run ~label points)
-
-(* ------------------------------------------------------------------ *)
-(* Async disk pipeline                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Tail latency under memory pressure on the async disk path (queued
-   ring + elevator, readahead, single-flight fills, batched pageout
-   writes), plus a cold sequential-read headline. The recorded "legacy"
-   entries measured the removed pre-async path (serialized disk, no
-   readahead, synchronous pageout). *)
-
-let async_json_of_run ~label points =
-  let module E = Iolite_workload.Experiments in
-  let b = Stdlib.Buffer.create 1024 in
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf "    {\n      \"label\": %S,\n      \"entries\": [\n" label);
-  List.iteri
-    (fun i p ->
-      let attr k =
-        match List.assoc_opt k p.E.as_attr_totals with
-        | Some v -> v
-        | None -> 0.0
-      in
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf
-           "        {\"scenario\": %S, \"backend\": \"async\", \
-            \"mem_mb\": %d, \"requests\": %d, \"p50_s\": %.6f, \"p90_s\": %.6f, \"p99_s\": \
-            %.6f, \"disk_util\": %.4f, \"disk_reads\": %d, \"disk_writes\": \
-            %d, \"batches\": %d, \"batched\": %d, \"fill_coalesced\": %d, \
-            \"readahead_issued\": %d, \"readahead_hit\": %d, \"swap_writes\": \
-            %d, \"seq_read_s\": %.6f, \"attr_completed\": %d, \
-            \"attr_wall_s\": %.6f, \"attr_queue_s\": %.6f, \
-            \"attr_disk_service_s\": %.6f, \"attr_coalesced_wait_s\": %.6f, \
-            \"attr_vm_stall_s\": %.6f, \"attr_cpu_s\": %.6f, \
-            \"tail_covered_min\": %.4f}%s\n"
-           p.E.as_scenario p.E.as_mem_mb p.E.as_requests
-           p.E.as_p50 p.E.as_p90 p.E.as_p99 p.E.as_disk_util p.E.as_disk_reads
-           p.E.as_disk_writes p.E.as_batches p.E.as_batched p.E.as_coalesced
-           p.E.as_ra_issued p.E.as_ra_hit p.E.as_swap_writes p.E.as_seq_read_s
-           p.E.as_attr_completed (attr "wall") (attr "queue")
-           (attr "disk_service") (attr "coalesced_wait") (attr "vm_stall")
-           (attr "cpu")
-           (List.fold_left
-              (fun acc r -> Float.min acc (Iolite_obs.Attrib.covered r))
-              1.0 p.E.as_tail)
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Stdlib.Buffer.add_string b "      ]\n    }";
-  Stdlib.Buffer.contents b
-
-let run_async ?(label = "current") ?(out = "BENCH_async.json") ?(scale = 1.0)
-    () =
-  Printf.printf
-    "\n== Async disk pipeline: tail latency under pressure (label: %s) ==\n%!"
-    label;
-  let module E = Iolite_workload.Experiments in
-  let points = E.async_sweep ~scale () in
-  E.print_async points;
-  E.print_async_tail points;
-  append_json_text ~benchmark:"async-disk" ~units:async_units ~out
-    ~run_json:(async_json_of_run ~label points)
-
-(* ------------------------------------------------------------------ *)
-(* Delayed write-back                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Three exhibits: the clustering headline (the sync daemon merging
-   adjacent dirty extents — compare disk write ops with write calls;
-   the recorded "eager" entries paid one disk op per write through the
-   removed write-through path), the CAWL sweep (write throughput vs.
-   burst size over the dirty hard limit under two flush intervals:
-   memory speed below the knee, drain speed above, the knee's position
-   set by the interval), and the crash-at-any-point harness (randomized
-   crash points replayed against the durable-write log; the per-offset
-   oracle must accept every recovered byte and fsync'd data must
-   survive). *)
-
-let write_json_of_run ~label ~crash points =
-  let module E = Iolite_workload.Experiments in
-  let module C = Iolite_workload.Crash in
-  let b = Stdlib.Buffer.create 1024 in
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf "    {\n      \"label\": %S,\n      \"entries\": [\n" label);
-  List.iteri
-    (fun i p ->
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf
-           "        {\"point\": %S, \"flush_interval\": %.2f, \"burst\": %d, \
-            \"x\": %.3f, \"writes\": %d, \"bytes\": %d, \"disk_writes\": %d, \
-            \"disk_bytes\": %d, \"cluster_writes\": %d, \"clustered\": %d, \
-            \"flushes\": %d, \"superseded\": %d, \"throttled\": %d, \
-            \"write_s\": %.6f, \"mbps\": %.2f}%s\n"
-           p.E.wp_label p.E.wp_flush_interval p.E.wp_burst p.E.wp_x
-           p.E.wp_writes p.E.wp_bytes p.E.wp_disk_writes p.E.wp_disk_bytes
-           p.E.wp_cluster_writes p.E.wp_clustered p.E.wp_flushes
-           p.E.wp_superseded p.E.wp_throttled p.E.wp_write_s p.E.wp_mbps
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf
-       "      ],\n      \"crash\": {\"points\": %d, \"failures\": %d, \
-        \"durable_min\": %d, \"durable_max\": %d}\n    }"
-       crash.C.r_points
-       (List.length crash.C.r_failures)
-       crash.C.r_durable_min crash.C.r_durable_max);
-  Stdlib.Buffer.contents b
-
-let run_write ?(label = "current") ?(out = "BENCH_write.json")
-    ?(crash_runs = 1000) () =
-  Printf.printf
-    "\n== Delayed write-back: clustering + CAWL (label: %s) ==\n%!" label;
-  let module E = Iolite_workload.Experiments in
-  let module C = Iolite_workload.Crash in
-  let points = E.write_seq_point () :: E.write_cawl_sweep () in
-  E.print_write points;
-  Printf.printf "\n  crash harness: %d randomized crash points...\n%!"
-    crash_runs;
-  let crash = C.run_many ~runs:crash_runs () in
-  C.print crash;
-  append_json_text ~benchmark:"write-back" ~units:write_units ~out
-    ~run_json:(write_json_of_run ~label ~crash points)
-
-(* ------------------------------------------------------------------ *)
-(* NVMM second cache tier                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Fig. 10 revisited on a small machine: working-set sweeps well past
-   the DRAM budget, once DRAM-only (the recorded baseline — the capacity
-   knee sits at the io budget) and once with the tier armed (the knee
-   moves out to the tier budget; misses past DRAM promote at NVMM speed
-   instead of paying disk positioning). The probe records the three
-   latency classes for one small file — DRAM hit, warm tier hit, cold
-   disk fill — whose ordering and spread CI asserts. *)
-
-let tier_json_of_run ~label ?probe points =
-  let module E = Iolite_workload.Experiments in
-  let b = Stdlib.Buffer.create 1024 in
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf "    {\n      \"label\": %S,\n      \"entries\": [\n" label);
-  List.iteri
-    (fun i p ->
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf
-           "        {\"variant\": %S, \"ws_mb\": %d, \"mbps\": %.2f, \
-            \"dram_hits\": %d, \"dram_evictions\": %d, \"tier_hit\": %d, \
-            \"tier_miss\": %d, \"tier_demote\": %d, \"tier_promote\": %d, \
-            \"tier_wb_stage\": %d, \"tier_evict\": %d, \"disk_reads\": \
-            %d}%s\n"
-           p.E.tp_label p.E.tp_ws_mb p.E.tp_mbps p.E.tp_dram_hits
-           p.E.tp_dram_evictions p.E.tp_tier_hit p.E.tp_tier_miss
-           p.E.tp_tier_demote p.E.tp_tier_promote p.E.tp_tier_stage
-           p.E.tp_tier_evict p.E.tp_disk_reads
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  (match probe with
-  | None -> Stdlib.Buffer.add_string b "      ]\n    }"
-  | Some pr ->
-    Stdlib.Buffer.add_string b
-      (Printf.sprintf
-         "      ],\n      \"probe\": {\"dram_hit_s\": %.6f, \
-          \"warm_tier_hit_s\": %.6f, \"cold_disk_fill_s\": %.6f, \
-          \"speedup\": %.2f, \"demote\": %d, \"promote\": %d, \
-          \"wb_stage\": %d}\n    }"
-         pr.E.pr_dram_hit_s pr.E.pr_tier_hit_s pr.E.pr_cold_disk_s
-         pr.E.pr_speedup pr.E.pr_demote pr.E.pr_promote pr.E.pr_stage));
-  Stdlib.Buffer.contents b
-
-let run_tier ?(label = "current") ?(out = "BENCH_tier.json") ?(scale = 1.0) ()
-    =
-  Printf.printf "\n== NVMM second tier: working-set sweep (label: %s) ==\n%!"
-    label;
-  let module E = Iolite_workload.Experiments in
-  Printf.printf "  dram-only baseline...\n%!";
-  let baseline = E.tier_sweep ~scale ~variant:`Baseline () in
-  Gc.full_major ();
-  Printf.printf "  tiered sweep...\n%!";
-  let tiered = E.tier_sweep ~scale ~variant:`Tiered () in
-  Gc.full_major ();
-  let probe = E.tier_probe_run () in
-  E.print_tier (baseline @ tiered) (Some probe);
-  append_json_text ~benchmark:"nvmm-tier" ~units:tier_units ~out
-    ~run_json:(tier_json_of_run ~label:(label ^ " dram-baseline") baseline);
-  append_json_text ~benchmark:"nvmm-tier" ~units:tier_units ~out
-    ~run_json:(tier_json_of_run ~label:(label ^ " tiered") ~probe tiered)
+  Printf.printf "\n== %s (label: %s) ==\n%!" sc.name label;
+  let runs = sc.run size in
+  Scenario.print runs;
+  exit_on_error (Scenario.record ~benchmark:sc.benchmark ~label ~out runs)
 
 (* ------------------------------------------------------------------ *)
 (* Paper figures                                                       *)
@@ -1090,70 +699,9 @@ let run_figures ?(metrics = false) ?trace_out scale =
 let () =
   match Array.to_list Sys.argv with
   | _ :: "micro" :: _ -> run_micro ()
-  | _ :: "agg" :: rest ->
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_agg.json" in
-    run_agg ~label ~out ()
-  | _ :: "cksum" :: rest ->
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_cksum.json" in
-    let pieces =
-      match rest with _ :: _ :: p :: _ -> int_of_string p | _ -> 1024
-    in
-    run_cksum ~label ~out ~pieces ()
-  | _ :: "transfer" :: rest ->
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_transfer.json" in
-    let pieces =
-      match rest with _ :: _ :: p :: _ -> int_of_string p | _ -> 1024
-    in
-    run_transfer ~label ~out ~pieces ()
-  | _ :: "cache" :: rest ->
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_cache.json" in
-    let scales =
-      match rest with _ :: _ :: n :: _ -> Some [ int_of_string n ] | _ -> None
-    in
-    run_cache ~label ~out ?scales ()
-  | _ :: "obs" :: rest ->
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_obs.json" in
-    run_obs ~label ~out ()
-  | _ :: "scale" :: rest ->
-    (* scale [LABEL] [OUT] [CONNS,CONNS,...] *)
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_scale.json" in
-    let conns =
-      match rest with
-      | _ :: _ :: c :: _ ->
-        Some (List.map int_of_string (String.split_on_char ',' c))
-      | _ -> None
-    in
-    run_scale ~label ~out ?conns ()
-  | _ :: "async" :: rest ->
-    (* async [LABEL] [OUT] [SCALE] *)
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_async.json" in
-    let scale =
-      match rest with _ :: _ :: s :: _ -> float_of_string s | _ -> 1.0
-    in
-    run_async ~label ~out ~scale ()
-  | _ :: "write" :: rest ->
-    (* write [LABEL] [OUT] [CRASH_RUNS] *)
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_write.json" in
-    let crash_runs =
-      match rest with _ :: _ :: n :: _ -> Some (int_of_string n) | _ -> None
-    in
-    run_write ~label ~out ?crash_runs ()
-  | _ :: "tier" :: rest ->
-    (* tier [LABEL] [OUT] [SCALE] *)
-    let label = match rest with l :: _ -> l | [] -> "current" in
-    let out = match rest with _ :: o :: _ -> o | _ -> "BENCH_tier.json" in
-    let scale =
-      match rest with _ :: _ :: s :: _ -> float_of_string s | _ -> 1.0
-    in
-    run_tier ~label ~out ~scale ()
+  | _ :: name :: rest when List.mem_assoc name micros ->
+    let label, out, n = history_args ~out:(sprintf "BENCH_%s.json" name) rest in
+    (List.assoc name micros) ~label ~out (Option.map int_of_string n)
   | _ :: "figures" :: rest ->
     (* figures [SCALE] [--metrics] [--trace FILE] *)
     let scale = ref 0.5 in
@@ -1173,6 +721,10 @@ let () =
     in
     parse rest;
     run_figures ~metrics:!metrics ?trace_out:!trace_out !scale
+  | _ :: name :: rest when Option.is_some (find_scenario name) ->
+    let sc = Option.get (find_scenario name) in
+    let label, out, size = history_args ~out:sc.file rest in
+    run_scenario sc ~label ~out size
   | _ ->
     run_micro ();
     run_figures 0.5

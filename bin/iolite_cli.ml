@@ -89,8 +89,31 @@ let unit_cmd name doc run =
     Cmdliner.Term.(
       const run $ verbose_arg $ log_arg $ metrics_arg $ trace_arg $ scale_arg)
 
+(* Every extension sweep of the registry becomes one command that
+   prints its tables at the recorded size, or at the test-suite size
+   with [tiny]. *)
+let scenario_cmd (sc : Iolite_workload.Scenario.t) =
+  let size =
+    let sizes = [ ("full", Iolite_workload.Scenario.Full); ("tiny", Tiny) ] in
+    Cmdliner.Arg.(
+      value
+      & pos 0 (enum sizes) Full
+      & info [] ~docv:"SIZE"
+          ~doc:"$(b,full) (the recorded configuration) or $(b,tiny).")
+  in
+  let run verbose directives metrics trace_out size =
+    with_logging verbose directives;
+    with_observability ~metrics ~trace_out (fun () ->
+        Iolite_workload.Scenario.print (sc.run size))
+  in
+  Cmdliner.Cmd.v
+    (Cmdliner.Cmd.info sc.name ~doc:sc.doc)
+    Cmdliner.Term.(
+      const run $ verbose_arg $ log_arg $ metrics_arg $ trace_arg $ size)
+
 let cmds =
-  [
+  List.map scenario_cmd E.scenarios
+  @ [
     series_cmd "fig3" "Fig 3: HTTP single-file test (non-persistent)" "KB"
       (fun ~scale () -> E.fig3 ~scale ());
     series_cmd "fig4" "Fig 4: persistent HTTP single-file test" "KB"
@@ -158,135 +181,6 @@ let cmds =
      Cmdliner.Cmd.v
        (Cmdliner.Cmd.info "trace" ~doc:"Inspect a synthesized trace")
        Cmdliner.Term.(const run $ verbose_arg $ trace_name));
-    (let conns_arg =
-       Cmdliner.Arg.(
-         value
-         & opt (list int) [ 1_000; 10_000 ]
-         & info [ "c"; "conns" ] ~docv:"N,N,..."
-             ~doc:
-               "Concurrent-connection populations to sweep (the recorded \
-                BENCH_scale.json runs 1e3,1e4,1e5,1e6).")
-     in
-     let requests_arg =
-       Cmdliner.Arg.(
-         value
-         & opt (some int) None
-         & info [ "requests" ] ~docv:"N"
-             ~doc:"Measured-phase requests per point (default 50000).")
-     in
-     let run verbose directives conns requests =
-       with_logging verbose directives;
-       E.print_c1m (List.map (fun n -> E.c1m ?requests ~conns:n ()) conns)
-     in
-     Cmdliner.Cmd.v
-       (Cmdliner.Cmd.info "scale"
-          ~doc:
-            "C1M sweep: hold N concurrent connections against Flash-Lite \
-             and measure per-request wall cost, latency percentiles, \
-             warm-phase fresh allocations, and timer churn at full \
-             population")
-       Cmdliner.Term.(
-         const run $ verbose_arg $ log_arg $ conns_arg $ requests_arg));
-    (let run verbose directives scale =
-       with_logging verbose directives;
-       let points = E.async_sweep ~scale () in
-       E.print_async points;
-       E.print_async_tail points
-     in
-     Cmdliner.Cmd.v
-       (Cmdliner.Cmd.info "async"
-          ~doc:
-            "Async disk pipeline sweep at 128MB (warm) and 24MB (memory \
-             pressure), measuring foreground \
-             small-file latency percentiles under a background scan, disk \
-             utilization, batching, miss coalescing and readahead \
-             accuracy")
-       Cmdliner.Term.(const run $ verbose_arg $ log_arg $ scale_arg));
-    (let crash_arg =
-       Cmdliner.Arg.(
-         value & opt int 0
-         & info [ "crash" ] ~docv:"N"
-             ~doc:
-               "Also run the crash-at-any-point consistency harness over \
-                $(docv) randomized crash points (the recorded \
-                BENCH_write.json uses 1000) and report oracle failures.")
-     in
-     let run verbose directives metrics trace_out crash_points =
-       with_logging verbose directives;
-       with_observability ~metrics ~trace_out (fun () ->
-           E.print_write (E.write_seq_point () :: E.write_cawl_sweep ()));
-       if crash_points > 0 then begin
-         let module C = Iolite_workload.Crash in
-         Printf.printf "\ncrash harness: %d randomized crash points...\n%!"
-           crash_points;
-         C.print (C.run_many ~runs:crash_points ())
-       end
-     in
-     Cmdliner.Cmd.v
-       (Cmdliner.Cmd.info "write"
-          ~doc:
-            "Delayed write-back sweep: clustered disk write operations \
-             on the small-sequential-write headline, plus the \
-             CAWL burst sweep at two sync-daemon flush intervals \
-             (memory-speed vs. disk-bound regimes either side of the \
-             dirty-limit knee)")
-       Cmdliner.Term.(
-         const run $ verbose_arg $ log_arg $ metrics_arg $ trace_arg
-         $ crash_arg));
-    (let tier_capacity_arg =
-       Cmdliner.Arg.(
-         value
-         & opt (some int) None
-         & info [ "tier-capacity" ] ~docv:"MB"
-             ~doc:
-               "NVMM tier byte budget in megabytes (default: tracks 10x \
-                the machine's I/O budget).")
-     in
-     let tier_latency_arg =
-       Cmdliner.Arg.(
-         value
-         & opt (some float) None
-         & info [ "tier-latency" ] ~docv:"MB/S"
-             ~doc:
-               "Simulated NVMM transfer rate in MB/s (default 20 — \
-                roughly 10x a DRAM hit on the small-transfer class; \
-                lower means a more latent tier).")
-     in
-     let run verbose directives metrics trace_out scale capacity_mb rate =
-       with_logging verbose directives;
-       let tier_capacity =
-         Option.map (fun mb -> mb * 1024 * 1024) capacity_mb
-       in
-       let tier_bytes_per_sec = Option.map (fun r -> r *. 1e6) rate in
-       with_observability ~metrics ~trace_out (fun () ->
-           let baseline =
-             E.tier_sweep ~scale ~variant:`Baseline ?tier_capacity
-               ?tier_bytes_per_sec ()
-           in
-           let tiered =
-             E.tier_sweep ~scale ~variant:`Tiered ?tier_capacity
-               ?tier_bytes_per_sec ()
-           in
-           let probe =
-             (* The probe exhibits the stock cost model's three latency
-                classes; skip it when the knobs reshape that model. *)
-             if capacity_mb = None && rate = None then
-               Some (E.tier_probe_run ())
-             else None
-           in
-           E.print_tier (baseline @ tiered) probe)
-     in
-     Cmdliner.Cmd.v
-       (Cmdliner.Cmd.info "tier"
-          ~doc:
-            "NVMM cache-tier sweep: working sets swept past a 64MB \
-             machine's DRAM, dram-only baseline against the persistent \
-             second tier with demotion/promotion traffic decomposed, \
-             plus the three-class latency probe (DRAM hit, warm tier \
-             hit, cold disk fill)")
-       Cmdliner.Term.(
-         const run $ verbose_arg $ log_arg $ metrics_arg $ trace_arg
-         $ scale_arg $ tier_capacity_arg $ tier_latency_arg));
     (let run verbose directives metrics trace_out =
        with_logging verbose directives;
        let r = E.smoke () in

@@ -69,6 +69,7 @@ let create ?(policy = Policy.gds ()) ?(bytes_per_sec = 20e6) sys () =
   }
 
 let set_capacity t cap = t.capacity <- cap
+let capacity t = Option.map (fun f -> f ()) t.capacity
 let set_charge t f = t.charge <- f
 let read_time t ~bytes = float_of_int bytes /. t.bytes_per_sec
 let write_time t ~bytes = float_of_int bytes /. t.bytes_per_sec

@@ -12,16 +12,12 @@ type config = {
   cksum_cache_enabled : bool;
   cache_policy : Policy.t;
   seed : int64;
-  flush_interval : float;
-  dirty_hi_ratio : float;
-  dirty_hard_ratio : float;
+  writeback : Writeback.config;
   log_durable_writes : bool;
   (* The persistent second cache tier (NVCache-style NVMM between the
      unified DRAM cache and the disk). Off by default: DRAM-only is the
      recorded baseline, and the tier changes eviction into demotion. *)
   tier_enabled : bool;
-  tier_capacity : int option; (* bytes; [None] = 10x the io budget *)
-  tier_bytes_per_sec : float;
 }
 
 let log = Iolite_util.Logging.src "kernel"
@@ -35,13 +31,9 @@ let default_config () =
     cksum_cache_enabled = true;
     cache_policy = Policy.lru ();
     seed = 0x10117EL;
-    flush_interval = Writeback.default_config.Writeback.wb_flush_interval;
-    dirty_hi_ratio = Writeback.default_config.Writeback.wb_hi_ratio;
-    dirty_hard_ratio = Writeback.default_config.Writeback.wb_hard_ratio;
+    writeback = Writeback.default_config;
     log_durable_writes = false;
     tier_enabled = false;
-    tier_capacity = None;
-    tier_bytes_per_sec = 20e6;
   }
 
 (* Per-file sequential-readahead state (Fileio drives the policy). *)
@@ -120,11 +112,7 @@ let create ?config engine =
       ~metrics:(Iosys.metrics sys) ~trace:(Iosys.trace sys)
       ~flow:(Iosys.flow sys)
       ~budget:(fun () -> Physmem.io_budget (Iosys.physmem sys))
-      {
-        Writeback.wb_flush_interval = config.flush_interval;
-        wb_hi_ratio = config.dirty_hi_ratio;
-        wb_hard_ratio = config.dirty_hard_ratio;
-      }
+      config.writeback
   in
   (* A dirty cache victim forces a clustered flush of its file instead
      of silently dropping buffered writes with the page. *)
@@ -143,14 +131,12 @@ let create ?config engine =
             (Policy.gds
                ~cost:(fun _ ~size -> Iolite_fs.Disk.refetch_time disk ~bytes:size)
                ())
-          ~bytes_per_sec:config.tier_bytes_per_sec sys ()
+          sys ()
       in
+      (* The tier's budget tracks 10x the I/O budget; its transfer rate
+         is Tier's 20 MB/s default. *)
       Iolite_core.Tier.set_capacity tier
-        (Some
-           (fun () ->
-             match config.tier_capacity with
-             | Some bytes -> bytes
-             | None -> 10 * Physmem.io_budget (Iosys.physmem sys)));
+        (Some (fun () -> 10 * Physmem.io_budget (Iosys.physmem sys)));
       Filecache.set_demoter unified_cache (fun ~file ~off ~len:_ ~gen ~data ->
           Iolite_core.Tier.demote tier ~file ~off ~gen data);
       Writeback.set_tier writeback tier;

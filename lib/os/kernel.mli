@@ -29,12 +29,10 @@ type config = {
   cksum_cache_enabled : bool;
   cache_policy : Iolite_core.Policy.t;  (** for the unified cache *)
   seed : int64;
-  flush_interval : float;  (** sync-daemon period, default 0.5 s *)
-  dirty_hi_ratio : float;
-      (** dirty-byte fraction of the I/O budget that starts an early
-          flush, default 0.25 *)
-  dirty_hard_ratio : float;
-      (** dirty-byte fraction that write-throttles, default 0.5 *)
+  writeback : Writeback.config;
+      (** sync-daemon period and dirty watermarks, default
+          {!Writeback.default_config} (0.5 s, 0.25 / 0.5 of the I/O
+          budget) *)
   log_durable_writes : bool;
       (** Record completed disk writes in {!Iolite_fs.Disk.write_log}
           (crash-consistency harness support, default [false]). *)
@@ -44,14 +42,8 @@ type config = {
           the write-back stream stages through it, and — when
           [cache_policy] supports {!Iolite_core.Policy.t.set_cost} —
           the DRAM replacement cost becomes the refetch-from-next-tier
-          latency. *)
-  tier_capacity : int option;
-      (** Tier byte budget; [None] (default) tracks 10x the I/O
-          budget. *)
-  tier_bytes_per_sec : float;
-      (** Simulated NVMM transfer rate, default 20 MB/s (5x slower than
-          DRAM copies, faster than the disk's streaming rate,
-          byte-addressable: no positioning cost). *)
+          latency. The tier holds 10x the I/O budget and transfers at
+          20 MB/s. *)
 }
 
 val default_config : unit -> config

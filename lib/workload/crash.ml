@@ -63,7 +63,11 @@ let run_workload ?until ~seed cfg =
   let config =
     {
       (Kernel.default_config ()) with
-      Kernel.flush_interval = cfg.flush_interval;
+      Kernel.writeback =
+        {
+          Iolite_os.Writeback.default_config with
+          wb_flush_interval = cfg.flush_interval;
+        };
       log_durable_writes = true;
     }
   in
@@ -158,58 +162,56 @@ let check ~history ~crash_t ~log cfg =
   let acked = List.filter (fun s -> s.fs_t < crash_t) history.h_syncs in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let module IS = Set.Make (Int) in
-  let offsets = Hashtbl.create 1024 in
+  (* Pre-crash writers per file offset, newest first (issues are in
+     ascending [is_k] order). *)
+  let writers = Hashtbl.create 4 in
   List.iter
     (fun i ->
+      let ks =
+        match Hashtbl.find_opt writers i.is_file with
+        | Some ks -> ks
+        | None ->
+          let ks = Array.make cfg.file_size [] in
+          Hashtbl.replace writers i.is_file ks;
+          ks
+      in
       for o = i.is_off to i.is_off + i.is_len - 1 do
-        let key = (i.is_file, o) in
-        let ks =
-          match Hashtbl.find_opt offsets key with
-          | Some ks -> ks
-          | None -> IS.empty
-        in
-        Hashtbl.replace offsets key (IS.add i.is_k ks)
+        ks.(o) <- i.is_k :: ks.(o)
       done)
     pre_crash;
   Hashtbl.iter
-    (fun (file, off) writers ->
-      (* fsync floor: the newest write to this offset at or below any
-         acknowledged fsync floor of this file must survive — or be
-         overwritten by a newer write, never an older one or the
-         initial contents. *)
-      let floor_k =
-        List.fold_left
-          (fun acc s ->
-            if s.fs_file = file then
-              match
-                IS.max_elt_opt (IS.filter (fun k -> k <= s.fs_floor) writers)
-              with
-              | Some k -> max acc k
-              | None -> acc
-            else acc)
-          0 acked
-      in
-      let got = Bytes.get (image file) off in
-      let acceptable =
-        IS.exists (fun k -> k >= floor_k && byte_for k off = got) writers
-        || (floor_k = 0 && got = Filestore.content_byte ~file ~off)
-      in
-      if not acceptable then
-        fail
-          "file %d off %d: recovered %C not from any acceptable writer (floor %d, writers %s)"
-          file off got floor_k
-          (String.concat "," (List.map string_of_int (IS.elements writers))))
-    offsets;
+    (fun file per_off ->
+      let syncs = List.filter (fun s -> s.fs_file = file) acked in
+      let img = image file in
+      Array.iteri
+        (fun off ks ->
+          if ks <> [] then begin
+            (* fsync floor: the newest write to this offset at or below
+               any acknowledged fsync floor of this file must survive —
+               or be overwritten by a newer write, never an older one or
+               the initial contents. *)
+            let floor_k =
+              List.fold_left
+                (fun acc s ->
+                  match List.find_opt (fun k -> k <= s.fs_floor) ks with
+                  | Some k -> max acc k
+                  | None -> acc)
+                0 syncs
+            in
+            let got = Bytes.get img off in
+            let acceptable =
+              List.exists (fun k -> k >= floor_k && byte_for k off = got) ks
+              || (floor_k = 0 && got = Filestore.content_byte ~file ~off)
+            in
+            if not acceptable then
+              fail
+                "file %d off %d: recovered %C not from any acceptable writer (floor %d, writers %s)"
+                file off got floor_k
+                (String.concat "," (List.rev_map string_of_int ks))
+          end)
+        per_off)
+    writers;
   !failures
-
-type result = {
-  r_points : int;
-  r_failures : string list;
-  r_durable_min : int;
-  r_durable_max : int;
-  r_durable_total : int;
-}
 
 (* One crash experiment: record a full run, then re-run the identical
    workload and stop the virtual kernel at [frac] of the recorded
@@ -235,7 +237,6 @@ let run_many ?(cfg = default_workload) ?(seeds = 25) ?(runs = 1000) () =
   let durable_min = ref max_int in
   let durable_max = ref 0 in
   let points = ref 0 in
-  let durable_total = ref 0 in
   let failures = ref [] in
   for s = 0 to seeds - 1 do
     let seed = Int64.of_int (0x5EED + (s * 7919)) in
@@ -248,26 +249,16 @@ let run_many ?(cfg = default_workload) ?(seeds = 25) ?(runs = 1000) () =
       let log = Disk.write_log (Kernel.disk kernel) in
       let fs = check ~history ~crash_t ~log cfg in
       incr points;
-      durable_total := !durable_total + List.length log;
       durable_min := min !durable_min (List.length log);
       durable_max := max !durable_max (List.length log);
       failures := fs @ !failures
     done
   done;
-  {
-    r_points = !points;
-    r_failures = !failures;
-    r_durable_min = (if !durable_min = max_int then 0 else !durable_min);
-    r_durable_max = !durable_max;
-    r_durable_total = !durable_total;
-  }
-
-let print r =
-  Printf.printf
-    "crash harness: %d crash points, %d failures (durable writes per point: %d..%d)\n"
-    r.r_points
-    (List.length r.r_failures)
-    r.r_durable_min r.r_durable_max;
-  List.iteri
-    (fun i f -> if i < 10 then Printf.printf "  FAIL: %s\n" f)
-    r.r_failures
+  ( Scenario.
+      [
+        count "points" !points;
+        count "failures" (List.length !failures);
+        count "durable_min" (if !durable_min = max_int then 0 else !durable_min);
+        count "durable_max" !durable_max;
+      ],
+    !failures )

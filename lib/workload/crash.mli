@@ -71,17 +71,10 @@ val run_one :
 (** Record a full run, crash a twin at [frac] of its duration. Returns
     (durable writes at the crash, failures). *)
 
-type result = {
-  r_points : int;
-  r_failures : string list;
-  r_durable_min : int;
-  r_durable_max : int;
-  r_durable_total : int;
-}
-
-val run_many : ?cfg:wl_config -> ?seeds:int -> ?runs:int -> unit -> result
+val run_many :
+  ?cfg:wl_config -> ?seeds:int -> ?runs:int -> unit -> Scenario.row * string list
 (** Exactly [runs] randomized crash points spread over [seeds] distinct
     workloads (default 1000 over 25); the recording pass is shared per
-    seed and crash fractions sweep (0, 1]. *)
-
-val print : result -> unit
+    seed and crash fractions sweep (0, 1]. Returns the [points],
+    [failures], [durable_min] and [durable_max] counts (durable writes
+    per crash point) and the failure descriptions. *)

@@ -7,6 +7,8 @@ module Apache = Iolite_httpd.Apache
 module Table = Iolite_util.Table
 module Rng = Iolite_util.Rng
 
+let sprintf = Printf.sprintf
+
 type point = { x : float; mbps : float }
 type series = { label : string; points : point list }
 
@@ -35,6 +37,18 @@ let set_observability ?(metrics = false) ?sink () =
   obs_sink := sink;
   kernel_seq := 0
 
+(* Arm a kernel's tracer into the shared sink, when one is installed. *)
+let obs_start ?label kernel =
+  match !obs_sink with
+  | Some sink ->
+    Kernel.enable_tracing kernel;
+    incr kernel_seq;
+    let label =
+      match label with Some l -> l | None -> sprintf "kernel-%d" !kernel_seq
+    in
+    Iolite_obs.Trace.Sink.absorb sink ~label (Kernel.trace kernel)
+  | None -> ()
+
 let make_kernel ?(cksum = true) ?(policy = `Gds) ?label () =
   let engine = Engine.create () in
   let base = Kernel.default_config () in
@@ -47,17 +61,7 @@ let make_kernel ?(cksum = true) ?(policy = `Gds) ?label () =
     }
   in
   let kernel = Kernel.create ~config engine in
-  (match !obs_sink with
-  | Some sink ->
-    Kernel.enable_tracing kernel;
-    incr kernel_seq;
-    let label =
-      match label with
-      | Some l -> l
-      | None -> Printf.sprintf "kernel-%d" !kernel_seq
-    in
-    Iolite_obs.Trace.Sink.absorb sink ~label (Kernel.trace kernel)
-  | None -> ());
+  obs_start ?label kernel;
   (engine, kernel)
 
 type server = {
@@ -934,22 +938,8 @@ let smoke ?(tracing = true) () =
 (* C1M: connection-scale scaffolding sweep                             *)
 (* ------------------------------------------------------------------ *)
 
-type c1m_point = {
-  c1m_conns : int;
-  c1m_requests : int;
-  c1m_sim_rps : float;
-  c1m_wall_ns_per_req : float;
-  c1m_p50 : float;
-  c1m_p90 : float;
-  c1m_p99 : float;
-  c1m_fresh_warm : int;
-  c1m_recycled_warm : int;
-  c1m_timer_ns_per_op : float;
-  c1m_peak_timers : int;
-  c1m_idle_closed : int;
-}
-
-let c1m ?(requests = 50_000) ~conns () =
+let c1m ~conns =
+  let requests = 50_000 in
   let module Http = Iolite_httpd.Http in
   let module Sock = Iolite_os.Sock in
   let engine = Engine.create () in
@@ -1045,79 +1035,119 @@ let c1m ?(requests = 50_000) ~conns () =
     | Some s -> Iolite_util.Stats.(s.p50, s.p90, s.p99)
     | None -> (0.0, 0.0, 0.0)
   in
-  {
-    c1m_conns = conns;
-    c1m_requests = requests;
-    c1m_sim_rps = float_of_int requests /. Float.max 1e-9 (!v2 -. !v1);
-    c1m_wall_ns_per_req =
-      (!t2 -. !t1) *. 1e9 /. float_of_int (max 1 requests);
-    c1m_p50 = p50;
-    c1m_p90 = p90;
-    c1m_p99 = p99;
-    c1m_fresh_warm = dval "pool.fresh";
-    c1m_recycled_warm = dval "pool.recycled";
-    c1m_timer_ns_per_op = !churn_ns;
-    c1m_peak_timers = !peak_timers;
-    c1m_idle_closed = Iolite_obs.Metrics.get m "sock.idle_closed";
-  }
+  Scenario.
+    [
+      count "conns" conns;
+      str "config" "wheel-sharded";
+      count "requests" requests;
+      float "sim_rps" ~unit:"requests/s" ~dp:0
+        (float_of_int requests /. Float.max 1e-9 (!v2 -. !v1));
+      (* host wall-clock per request over the measured phase: the
+         per-op cost that must stay flat as [conns] grows *)
+      float ~clock:Host "wall_ns_per_req" ~unit:"ns" ~dp:1
+        ((!t2 -. !t1) *. 1e9 /. float_of_int (max 1 requests));
+      float "p50_s" ~unit:"s" ~dp:6 p50;
+      float "p90_s" ~unit:"s" ~dp:6 p90;
+      float "p99_s" ~unit:"s" ~dp:6 p99;
+      (* fresh chunks allocated after warm-up: 0 when recycling works *)
+      count "fresh_warm" (dval "pool.fresh");
+      count "recycled_warm" (dval "pool.recycled");
+      (* the idle-timer re-arm cost at full population *)
+      float ~clock:Host "timer_ns_per_op" ~unit:"ns" ~dp:1 !churn_ns;
+      count "peak_timers" !peak_timers;
+      count "idle_closed" (Iolite_obs.Metrics.get m "sock.idle_closed");
+    ]
 
-let print_c1m points =
-  let rows =
-    List.map
-      (fun p ->
-        [
-          string_of_int p.c1m_conns;
-          string_of_int p.c1m_requests;
-          Printf.sprintf "%.0f" p.c1m_sim_rps;
-          Printf.sprintf "%.0f" p.c1m_wall_ns_per_req;
-          Printf.sprintf "%.4f" p.c1m_p50;
-          Printf.sprintf "%.4f" p.c1m_p90;
-          Printf.sprintf "%.4f" p.c1m_p99;
-          string_of_int p.c1m_fresh_warm;
-          Printf.sprintf "%.0f" p.c1m_timer_ns_per_op;
-          string_of_int p.c1m_peak_timers;
-        ])
-      points
+let scale_scenario =
+  let run size =
+    let conns =
+      match size with
+      | Scenario.Full -> [ 1_000; 10_000; 100_000; 1_000_000 ]
+      | Tiny -> [ 1_000 ]
+    in
+    let point n =
+      Printf.printf "  running %d conns...\n%!" n;
+      let row = c1m ~conns:n in
+      (* each point retires a whole simulated machine *)
+      Gc.full_major ();
+      row
+    in
+    [ Scenario.one (List.map point conns) ]
   in
-  Table.print
-    ~header:
-      [
-        "conns"; "reqs"; "sim req/s"; "wall ns/req"; "p50 s";
-        "p90 s"; "p99 s"; "fresh(warm)"; "timer ns/op"; "peak timers";
-      ]
-    ~rows
+  let check =
+    Scenario.each_entry (fun e ->
+        let i = Scenario.get_int e in
+        [
+          (i "fresh_warm" = 0, sprintf "%d conns: fresh warm chunks" (i "conns"));
+          ( i "peak_timers" >= i "conns",
+            sprintf "%d conns: peak_timers %d" (i "conns") (i "peak_timers") );
+        ])
+  in
+  {
+    Scenario.name = "scale";
+    doc =
+      "C1M sweep: hold 10^3..10^6 concurrent connections against \
+       Flash-Lite and measure per-request wall cost, latency percentiles, \
+       warm-phase fresh allocations, and timer churn at full population";
+    file = "BENCH_scale.json";
+    benchmark = "c1m-scale";
+    run;
+    check;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Async disk pipeline: tail latency under memory pressure             *)
 (* ------------------------------------------------------------------ *)
 
-type async_point = {
-  as_scenario : string;
-  as_mem_mb : int;
-  as_requests : int;
-  as_p50 : float;
-  as_p90 : float;
-  as_p99 : float;
-  as_disk_util : float;
-  as_disk_reads : int;
-  as_disk_writes : int;
-  as_batches : int;
-  as_batched : int;
-  as_coalesced : int;
-  as_ra_issued : int;
-  as_ra_hit : int;
-  as_swap_writes : int;
-  as_seq_read_s : float;
-  (* Wait-state attribution over the measured (foreground) population:
-     the aggregate decomposition and the slowest-K tail reservoir. *)
-  as_attr_completed : int;
-  as_attr_totals : (string * float) list;
-  as_tail : Iolite_obs.Attrib.record list;
-}
+(* The tail profiler: for one sweep point, the aggregate wait-state
+   decomposition and the slowest-K reservoir with per-request cause
+   breakdown, dominant cause and coverage (the >=95% contract). *)
+let print_async_tail ~scenario ~completed ~totals ~slowest =
+  let module Attrib = Iolite_obs.Attrib in
+  let ms v = Printf.sprintf "%.2f" (v *. 1e3) in
+  Printf.printf "\n%s: wait-state attribution over %d requests\n"
+    scenario completed;
+  (match totals with
+  | ("wall", wall) :: causes when wall > 0.0 ->
+    Printf.printf "  aggregate:%s\n"
+      (String.concat ""
+         (List.map
+            (fun (c, v) ->
+              Printf.sprintf " %s=%.1f%%" c (100.0 *. v /. wall))
+            causes))
+  | _ -> ());
+  if slowest <> [] then begin
+    Printf.printf "  slowest %d:\n" (List.length slowest);
+    let rows =
+      List.map
+        (fun r ->
+          let dom, _ = Attrib.dominant r in
+          [
+            string_of_int r.Attrib.ar_id;
+            r.Attrib.ar_tag;
+            ms (Attrib.wall r);
+            ms r.Attrib.ar_queue;
+            ms r.Attrib.ar_disk;
+            ms r.Attrib.ar_coalesced;
+            ms r.Attrib.ar_vm;
+            ms r.Attrib.ar_cpu;
+            dom;
+            Printf.sprintf "%.0f%%" (100.0 *. Attrib.covered r);
+          ])
+        slowest
+    in
+    Table.print
+      ~header:
+        [
+          "req"; "tag"; "wall ms"; "queue"; "disk"; "coalesced"; "vm";
+          "cpu"; "dominant"; "covered";
+        ]
+      ~rows
+  end
 
 let seq_file_size = 1_792 * 1024
 
-let async_point ?(scale = 1.0) ~pressure () =
+let async_point ~scale ~pressure =
   let mem_mb = if pressure then 24 else 128 in
   let engine = Engine.create () in
   let config =
@@ -1257,164 +1287,132 @@ let async_point ?(scale = 1.0) ~pressure () =
   in
   let m = Kernel.metrics kernel in
   let disk = Kernel.disk kernel in
-  {
-    as_scenario = (if pressure then "pressure" else "warm");
-    as_mem_mb = mem_mb;
-    as_requests = List.length !latencies;
-    as_p50 = p50;
-    as_p90 = p90;
-    as_p99 = p99;
-    as_disk_util = (busy1 -. busy0) /. Float.max 1e-9 (now1 -. now0);
-    as_disk_reads = Iolite_fs.Disk.reads disk;
-    as_disk_writes = Iolite_fs.Disk.writes disk;
-    as_batches = Iolite_fs.Disk.batches disk;
-    as_batched = Iolite_fs.Disk.batched disk;
-    as_coalesced = Iolite_obs.Metrics.get m "cache.fill_coalesced";
-    as_ra_issued = Iolite_obs.Metrics.get m "cache.readahead_issued";
-    as_ra_hit = Iolite_obs.Metrics.get m "cache.readahead_hit";
-    as_swap_writes = Iolite_obs.Metrics.get m "vm.swap_in" + Iolite_mem.Pageout.swap_writes (Iolite_core.Iosys.pageout (Kernel.sys kernel));
-    as_seq_read_s = !seq_t;
-    as_attr_completed = Iolite_obs.Attrib.completed (Kernel.attrib kernel);
-    as_attr_totals = Iolite_obs.Attrib.totals (Kernel.attrib kernel);
-    as_tail = Iolite_obs.Attrib.slowest (Kernel.attrib kernel);
-  }
-
-let async_sweep ?(scale = 1.0) () =
-  [
-    async_point ~scale ~pressure:false (); async_point ~scale ~pressure:true ();
-  ]
-
-let print_async points =
-  let rows =
-    List.map
-      (fun p ->
-        [
-          p.as_scenario;
-          string_of_int p.as_mem_mb;
-          string_of_int p.as_requests;
-          Printf.sprintf "%.4f" p.as_p50;
-          Printf.sprintf "%.4f" p.as_p90;
-          Printf.sprintf "%.4f" p.as_p99;
-          Printf.sprintf "%.0f%%" (100.0 *. p.as_disk_util);
-          Printf.sprintf "%d/%d" p.as_batched p.as_batches;
-          string_of_int p.as_coalesced;
-          Printf.sprintf "%d/%d" p.as_ra_hit p.as_ra_issued;
-          Printf.sprintf "%.1f" (p.as_seq_read_s *. 1e3);
-        ])
-      points
-  in
-  Table.print
-    ~header:
+  let attrib = Kernel.attrib kernel in
+  let scenario = if pressure then "pressure" else "warm" in
+  let totals = Iolite_obs.Attrib.totals attrib in
+  let slowest = Iolite_obs.Attrib.slowest attrib in
+  let completed = Iolite_obs.Attrib.completed attrib in
+  let attr k = Option.value (List.assoc_opt k totals) ~default:0.0 in
+  let s name v = Scenario.float name ~unit:"s" ~dp:6 v in
+  let row =
+    Scenario.
       [
-        "scenario"; "MB"; "reqs"; "p50 s"; "p90 s"; "p99 s";
-        "disk util"; "batched"; "coalesced"; "ra hit/issued"; "seq ms";
+        str "scenario" scenario;
+        str "backend" "async";
+        int "mem_mb" ~unit:"MB" mem_mb;
+        count "requests" (List.length !latencies);
+        s "p50_s" p50;
+        s "p90_s" p90;
+        s "p99_s" p99;
+        (* disk busy time / elapsed simulated time over the client run *)
+        float "disk_util" ~unit:"ratio" ~dp:4
+          ((busy1 -. busy0) /. Float.max 1e-9 (now1 -. now0));
+        count "disk_reads" (Iolite_fs.Disk.reads disk);
+        count "disk_writes" (Iolite_fs.Disk.writes disk);
+        count "batches" (Iolite_fs.Disk.batches disk);
+        count "batched" (Iolite_fs.Disk.batched disk);
+        count "fill_coalesced" (Iolite_obs.Metrics.get m "cache.fill_coalesced");
+        count "readahead_issued"
+          (Iolite_obs.Metrics.get m "cache.readahead_issued");
+        count "readahead_hit" (Iolite_obs.Metrics.get m "cache.readahead_hit");
+        count "swap_writes"
+          (Iolite_obs.Metrics.get m "vm.swap_in"
+          + Iolite_mem.Pageout.swap_writes
+              (Iolite_core.Iosys.pageout (Kernel.sys kernel)));
+        s "seq_read_s" !seq_t;
+        (* wait-state attribution over the measured (foreground)
+           population, then the slowest-K reservoir's worst coverage *)
+        count "attr_completed" completed;
+        s "attr_wall_s" (attr "wall");
+        s "attr_queue_s" (attr "queue");
+        s "attr_disk_service_s" (attr "disk_service");
+        s "attr_coalesced_wait_s" (attr "coalesced_wait");
+        s "attr_vm_stall_s" (attr "vm_stall");
+        s "attr_cpu_s" (attr "cpu");
+        float "tail_covered_min" ~unit:"ratio" ~dp:4
+          (List.fold_left
+             (fun acc r -> Float.min acc (Iolite_obs.Attrib.covered r))
+             1.0 slowest);
       ]
-    ~rows
+  in
+  (row, fun () -> print_async_tail ~scenario ~completed ~totals ~slowest)
 
-(* The tail profiler: per sweep point, the aggregate wait-state
-   decomposition and the slowest-K reservoir with per-request cause
-   breakdown, dominant cause and coverage (the >=95% contract). *)
-let print_async_tail points =
-  let module Attrib = Iolite_obs.Attrib in
-  let ms v = Printf.sprintf "%.2f" (v *. 1e3) in
-  List.iter
-    (fun p ->
-      Printf.printf "\n%s: wait-state attribution over %d requests\n"
-        p.as_scenario p.as_attr_completed;
-      (match p.as_attr_totals with
-      | ("wall", wall) :: causes when wall > 0.0 ->
-        Printf.printf "  aggregate:%s\n"
-          (String.concat ""
-             (List.map
-                (fun (c, v) ->
-                  Printf.sprintf " %s=%.1f%%" c (100.0 *. v /. wall))
-                causes))
-      | _ -> ());
-      if p.as_tail <> [] then begin
-        Printf.printf "  slowest %d:\n" (List.length p.as_tail);
-        let rows =
-          List.map
-            (fun r ->
-              let dom, _ = Attrib.dominant r in
-              [
-                string_of_int r.Attrib.ar_id;
-                r.Attrib.ar_tag;
-                ms (Attrib.wall r);
-                ms r.Attrib.ar_queue;
-                ms r.Attrib.ar_disk;
-                ms r.Attrib.ar_coalesced;
-                ms r.Attrib.ar_vm;
-                ms r.Attrib.ar_cpu;
-                dom;
-                Printf.sprintf "%.0f%%" (100.0 *. Attrib.covered r);
-              ])
-            p.as_tail
-        in
-        Table.print
-          ~header:
-            [
-              "req"; "tag"; "wall ms"; "queue"; "disk"; "coalesced"; "vm";
-              "cpu"; "dominant"; "covered";
-            ]
-          ~rows
-      end)
-    points
+let async_scenario =
+  let run size =
+    let scale = match size with Scenario.Full -> 1.0 | Tiny -> 0.2 in
+    let points =
+      [ async_point ~scale ~pressure:false; async_point ~scale ~pressure:true ]
+    in
+    let report () = List.iter (fun (_, tail) -> tail ()) points in
+    [ Scenario.one ~report (List.map fst points) ]
+  in
+  let check =
+    Scenario.each_entry (fun e ->
+        let i = Scenario.get_int e in
+        let sc = Scenario.get_str e "scenario" in
+        let positive k = (i k > 0, sprintf "%s: no %s" sc k) in
+        [
+          positive "fill_coalesced";
+          positive "readahead_hit";
+          positive "batched";
+          ( i "attr_completed" = i "requests",
+            sprintf "%s: %d of %d requests attributed" sc (i "attr_completed")
+              (i "requests") );
+          ( Scenario.get_float e "tail_covered_min" >= 0.95,
+            sprintf "%s: tail decomposition under-covers" sc );
+        ])
+  in
+  {
+    Scenario.name = "async";
+    doc =
+      "Async disk pipeline sweep at 128MB (warm) and 24MB (memory \
+       pressure): foreground small-file latency under a background scan, \
+       disk utilization, batching, miss coalescing, readahead accuracy \
+       and the p99 tail's wait states";
+    file = "BENCH_async.json";
+    benchmark = "async-disk";
+    run;
+    check;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Clustered delayed write-back: clustering headline + CAWL regimes    *)
 (* ------------------------------------------------------------------ *)
 
-type write_point = {
-  wp_label : string;
-  wp_flush_interval : float;
-  wp_burst : int;
-  wp_x : float;
-  wp_writes : int;
-  wp_bytes : int;
-  wp_disk_writes : int;
-  wp_disk_bytes : int;
-  wp_cluster_writes : int;
-  wp_clustered : int;
-  wp_flushes : int;
-  wp_superseded : int;
-  wp_throttled : int;
-  wp_write_s : float;
-  wp_mbps : float;
-}
-
-let write_metrics kernel ~label ~flush_interval ~burst ~x ~writes ~bytes
-    ~write_s =
+let write_row kernel ~label ~flush_interval ~burst ~x ~writes ~bytes ~write_s
+    =
   let m = Kernel.metrics kernel in
   let disk = Kernel.disk kernel in
-  {
-    wp_label = label;
-    wp_flush_interval = flush_interval;
-    wp_burst = burst;
-    wp_x = x;
-    wp_writes = writes;
-    wp_bytes = bytes;
-    wp_disk_writes = Iolite_fs.Disk.writes disk;
-    wp_disk_bytes = Iolite_fs.Disk.bytes_written disk;
-    wp_cluster_writes = Iolite_obs.Metrics.get m "write.cluster_writes";
-    wp_clustered = Iolite_obs.Metrics.get m "write.clustered";
-    wp_flushes = Iolite_obs.Metrics.get m "write.flushes";
-    wp_superseded = Iolite_obs.Metrics.get m "write.superseded";
-    wp_throttled = Iolite_obs.Metrics.get m "write.throttled";
-    wp_write_s = write_s;
-    wp_mbps = float_of_int bytes /. 1048576.0 /. Float.max 1e-9 write_s;
-  }
+  let metric k = Scenario.count k (Iolite_obs.Metrics.get m ("write." ^ k)) in
+  Scenario.
+    [
+      str "point" label;
+      float "flush_interval" ~unit:"s" ~dp:2 flush_interval;
+      (* CAWL burst bytes and burst / hard dirty limit; 0 for the
+         headline point *)
+      int "burst" ~unit:"bytes" burst;
+      float ~clock:Plain "x" ~unit:"ratio" ~dp:3 x;
+      count "writes" writes;
+      int "bytes" ~unit:"bytes" bytes;
+      count "disk_writes" (Iolite_fs.Disk.writes disk);
+      int "disk_bytes" ~unit:"bytes" (Iolite_fs.Disk.bytes_written disk);
+      metric "cluster_writes";
+      (* dirty extents that rode a >=2-extent cluster *)
+      metric "clustered";
+      metric "flushes";
+      (* parked extents replaced before durable *)
+      metric "superseded";
+      (* writes blocked at the dirty hard limit *)
+      metric "throttled";
+      (* simulated time inside write syscalls + fsync *)
+      float "write_s" ~unit:"s" ~dp:6 write_s;
+      float "mbps" ~unit:"MiB/s" ~dp:2
+        (float_of_int bytes /. 1048576.0 /. Float.max 1e-9 write_s);
+    ]
 
-(* The write points build kernels with custom write-back configs
-   (bypassing [make_kernel]), so they wire the shared trace sink and
-   per-point metrics printing themselves. *)
-let write_obs_start ~label kernel =
-  match !obs_sink with
-  | Some sink ->
-    Kernel.enable_tracing kernel;
-    incr kernel_seq;
-    Iolite_obs.Trace.Sink.absorb sink ~label (Kernel.trace kernel)
-  | None -> ()
-
+(* The write and tier points build kernels with custom configs
+   (bypassing [make_kernel]), so they arm the shared trace sink
+   ([obs_start]) and print their per-point metrics themselves. *)
 let write_obs_finish ~label kernel =
   if !obs_metrics then
     Printf.printf "\n-- metrics: %s --\n%s%!" label
@@ -1429,7 +1427,7 @@ let write_seq_point () =
   let engine = Engine.create () in
   let kernel = Kernel.create engine in
   let label = "write delayed" in
-  write_obs_start ~label kernel;
+  obs_start ~label kernel;
   let size = 2 * 1024 * 1024 in
   let chunk = 4096 in
   let file = Kernel.add_file kernel ~name:"/wlog.dat" ~size in
@@ -1456,8 +1454,10 @@ let write_seq_point () =
          write_s := !write_s +. (Engine.now engine -. t0)));
   Engine.run engine;
   write_obs_finish ~label kernel;
-  write_metrics kernel ~label:"delayed" ~flush_interval:(Kernel.config kernel).Kernel.flush_interval ~burst:0
-    ~x:0.0 ~writes:!writes ~bytes:!bytes ~write_s:!write_s
+  let wb = (Kernel.config kernel).Kernel.writeback in
+  write_row kernel ~label:"delayed"
+    ~flush_interval:wb.Iolite_os.Writeback.wb_flush_interval ~burst:0 ~x:0.0
+    ~writes:!writes ~bytes:!bytes ~write_s:!write_s
 
 (* One CAWL point: bursts of [burst] bytes every 0.1 s against a small
    dirty hard limit, high watermark disabled. Below the knee the writer
@@ -1465,23 +1465,28 @@ let write_seq_point () =
    crosses the hard limit the writer blocks on the drain — write
    throughput collapses to disk speed. The knee's position in
    [x = burst / hard] moves with the flush interval. *)
-let write_cawl_point ~flush_interval ~burst () =
+let write_cawl_point ~flush_interval ~burst =
   let engine = Engine.create () in
+  let writeback =
+    {
+      Iolite_os.Writeback.wb_flush_interval = flush_interval;
+      wb_hi_ratio = 1.0;
+      wb_hard_ratio = 0.05;
+    }
+  in
   let config =
     {
       (Kernel.default_config ()) with
       Kernel.mem_capacity = 32 * 1024 * 1024;
-      flush_interval;
-      dirty_hi_ratio = 1.0;
-      dirty_hard_ratio = 0.05;
+      writeback;
     }
   in
   let kernel = Kernel.create ~config engine in
   let label = Printf.sprintf "cawl F=%.1fs %dKB" flush_interval (burst / 1024) in
-  write_obs_start ~label kernel;
+  obs_start ~label kernel;
   let hard =
     int_of_float
-      (config.Kernel.dirty_hard_ratio
+      (writeback.Iolite_os.Writeback.wb_hard_ratio
       *. float_of_int
            (Iolite_mem.Physmem.io_budget
               (Iolite_core.Iosys.physmem (Kernel.sys kernel))))
@@ -1507,89 +1512,94 @@ let write_cawl_point ~flush_interval ~burst () =
          done));
   Engine.run engine;
   write_obs_finish ~label kernel;
-  write_metrics kernel
+  write_row kernel
     ~label:(Printf.sprintf "F=%.1fs" flush_interval)
     ~flush_interval ~burst
     ~x:(float_of_int burst /. float_of_int hard)
     ~writes:!writes ~bytes:!bytes ~write_s:!write_s
 
+(* The headline, then bursts 128 KB ... 2 MB under flush intervals
+   0.2 s and 0.8 s: the knee's position in [x] shifts by the interval
+   ratio. *)
+let write_sweep () =
+  write_seq_point ()
+  :: List.concat_map
+       (fun flush_interval ->
+         List.map
+           (fun k -> write_cawl_point ~flush_interval ~burst:(k * 1024))
+           [ 128; 256; 512; 1024; 2048 ])
+       [ 0.2; 0.8 ]
 
-let write_cawl_sweep () =
-  let ks = [ 128; 256; 512; 1024; 2048 ] in
-  List.concat_map
-    (fun flush_interval ->
-      List.map
-        (fun k -> write_cawl_point ~flush_interval ~burst:(k * 1024) ())
-        ks)
-    [ 0.2; 0.8 ]
+(* The removed write-through path's headline (the [eager] point in
+   BENCH_write.json): 576 writes, one disk write operation each. *)
+let eager_disk_writes = 576
 
-let print_write points =
-  let rows =
-    List.map
-      (fun p ->
-        [
-          p.wp_label;
-          (if p.wp_burst = 0 then "-"
-           else Printf.sprintf "%d" (p.wp_burst / 1024));
-          (if p.wp_x = 0.0 then "-" else Printf.sprintf "%.2f" p.wp_x);
-          string_of_int p.wp_writes;
-          Printf.sprintf "%.1f" (float_of_int p.wp_bytes /. 1048576.0);
-          string_of_int p.wp_disk_writes;
-          string_of_int p.wp_cluster_writes;
-          string_of_int p.wp_clustered;
-          string_of_int p.wp_flushes;
-          string_of_int p.wp_superseded;
-          string_of_int p.wp_throttled;
-          Printf.sprintf "%.4f" p.wp_write_s;
-          Printf.sprintf "%.1f" p.wp_mbps;
-        ])
-      points
+let write_scenario =
+  let run size =
+    let points = match size with Scenario.Full -> 1000 | Tiny -> 60 in
+    let entries = write_sweep () in
+    Printf.printf "  crash harness: %d randomized crash points...\n%!" points;
+    let crash, failures = Crash.run_many ~runs:points () in
+    let report () =
+      List.iteri (fun i f -> if i < 10 then Printf.printf "  FAIL: %s\n" f) failures
+    in
+    [ Scenario.one ~extras:[ ("crash", crash) ] ~report entries ]
   in
-  Table.print
-    ~header:
-      [
-        "point"; "burst KB"; "x"; "writes"; "MB"; "disk ops"; "clusters";
-        "clustered"; "flushes"; "superseded"; "throttled"; "write s";
-        "MB/s";
-      ]
-    ~rows
+  let check runs =
+    Scenario.verdict
+      (List.concat_map
+         (fun (r : Scenario.run) ->
+           let delayed =
+             Scenario.get_int
+               (List.find
+                  (fun e -> Scenario.get_str e "point" = "delayed")
+                  r.entries)
+           in
+           let cawl =
+             List.filter (fun e -> Scenario.get_int e "burst" > 0) r.entries
+           in
+           let throttled e = Scenario.get_int e "throttled" > 0 in
+           let crash = Scenario.get_int (Scenario.extra r "crash") in
+           [
+             ( delayed "writes" = eager_disk_writes,
+               sprintf "headline issued %d writes" (delayed "writes") );
+             ( 8 * delayed "disk_writes" <= eager_disk_writes,
+               sprintf "clustering under 8x: %d disk writes"
+                 (delayed "disk_writes") );
+             (Scenario.sum r "clustered" > 0, "nothing clustered");
+             (Scenario.sum r "superseded" > 0, "nothing superseded");
+             ( List.exists (fun e -> not (throttled e)) cawl,
+               "no memory-speed CAWL regime" );
+             (List.exists throttled cawl, "no disk-bound CAWL regime");
+             (crash "points" >= 60, sprintf "%d crash points" (crash "points"));
+             ( crash "failures" = 0,
+               sprintf "%d crash-consistency failures" (crash "failures") );
+           ])
+         runs)
+  in
+  {
+    Scenario.name = "write";
+    doc =
+      "Delayed write-back sweep: clustered disk writes on the \
+       small-sequential-write headline, the CAWL burst sweep at two flush \
+       intervals (memory-speed vs. disk-bound regimes either side of the \
+       dirty-limit knee), and the crash-at-any-point consistency harness";
+    file = "BENCH_write.json";
+    benchmark = "write-back";
+    run;
+    check;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 10 revisited: working-set sweeps across the NVMM second tier   *)
 (* ------------------------------------------------------------------ *)
-
-type tier_point = {
-  tp_label : string;
-  tp_ws_mb : int;
-  tp_mbps : float;
-  tp_dram_hits : int;
-  tp_dram_evictions : int;
-  tp_tier_hit : int;
-  tp_tier_miss : int;
-  tp_tier_demote : int;
-  tp_tier_promote : int;
-  tp_tier_stage : int;
-  tp_tier_evict : int;
-  tp_disk_reads : int;
-}
-
-type tier_probe = {
-  pr_dram_hit_s : float;
-  pr_tier_hit_s : float;
-  pr_cold_disk_s : float;
-  pr_speedup : float;
-  pr_demote : int;
-  pr_promote : int;
-  pr_stage : int;
-}
 
 (* The tier points build kernels with custom configs (small DRAM, tier
    armed), so they wire observability themselves, like the write points.
    The cache policy object is returned alongside: Flash re-installs the
    unified-cache policy at startup, and handing it the same GDS instance
    the kernel parameterized keeps the tier-aware refetch cost alive. *)
-let tier_kernel ~tiered ?(mem_mb = 64) ?tier_capacity
-    ?(tier_bytes_per_sec = 20e6) ~label () =
+let tier_kernel ~tiered ?(mem_mb = 64) ~label () =
   let engine = Engine.create () in
   let config =
     {
@@ -1597,12 +1607,10 @@ let tier_kernel ~tiered ?(mem_mb = 64) ?tier_capacity
       Kernel.mem_capacity = mem_mb * 1024 * 1024;
       cache_policy = Policy.gds ();
       tier_enabled = tiered;
-      tier_capacity;
-      tier_bytes_per_sec;
     }
   in
   let kernel = Kernel.create ~config engine in
-  write_obs_start ~label kernel;
+  obs_start ~label kernel;
   (engine, kernel, config.Kernel.cache_policy)
 
 let tier_server kernel ~policy =
@@ -1633,13 +1641,7 @@ let preload_tier kernel ~trace ~prefix_ranks =
     let cache = Kernel.unified_cache kernel in
     let store = Kernel.store kernel in
     let budget =
-      (match (Kernel.config kernel).Kernel.tier_capacity with
-      | Some c -> c
-      | None ->
-        10
-        * Iolite_mem.Physmem.io_budget
-            (Iolite_core.Iosys.physmem (Kernel.sys kernel)))
-      * 9 / 10
+      match Tier.capacity tier with Some c -> c * 9 / 10 | None -> max_int
     in
     let ranks =
       match prefix_ranks with
@@ -1669,15 +1671,12 @@ let preload_tier kernel ~trace ~prefix_ranks =
     load ranks;
     ignore (Kernel.take_pending kernel)
 
-let tier_point ~tiered ?tier_capacity ?tier_bytes_per_sec ~trace ~log ~scale
-    mb =
+let tier_point ~tiered ~trace ~log ~scale mb =
   let target = mb * 1024 * 1024 in
   let prefix = Trace.prefix_for_dataset trace ~log ~target_bytes:target in
   let variant = if tiered then "tiered" else "dram-only" in
   let label = Printf.sprintf "%s %dMB" variant mb in
-  let _engine, kernel, policy =
-    tier_kernel ~tiered ?tier_capacity ?tier_bytes_per_sec ~label ()
-  in
+  let _engine, kernel, policy = tier_kernel ~tiered ~label () in
   Trace.register_files trace kernel ~prefix_ranks:None;
   let clients = 64 in
   let server = tier_server kernel ~policy in
@@ -1710,37 +1709,32 @@ let tier_point ~tiered ?tier_capacity ?tier_bytes_per_sec ~trace ~log ~scale
   in
   let r = Client.run kernel listener config ~pick in
   report_point ~label kernel server;
-  write_obs_finish ~label kernel;
-  {
-    tp_label = variant;
-    tp_ws_mb = mb;
-    tp_mbps = r.Client.mbps;
-    tp_dram_hits = F.hits uc - hits0;
-    tp_dram_evictions = F.evictions uc - evictions0;
-    tp_tier_hit = get "cache.tier.hit";
-    tp_tier_miss = get "cache.tier.miss";
-    tp_tier_demote = get "cache.tier.demote" - demote0;
-    tp_tier_promote = get "cache.tier.promote";
-    tp_tier_stage = get "cache.tier.wb_stage";
-    tp_tier_evict = get "cache.tier.evict";
-    tp_disk_reads = Iolite_fs.Disk.reads disk - reads0;
-  }
+  Scenario.
+    [
+      str "variant" variant;
+      (* working-set target: MB of distinct bytes *)
+      int "ws_mb" ~unit:"MB" mb;
+      float "mbps" ~unit:"Mb/s" ~dp:2 r.Client.mbps;
+      (* unified-cache hits and DRAM evictions (the demotion source) *)
+      count "dram_hits" (F.hits uc - hits0);
+      count "dram_evictions" (F.evictions uc - evictions0);
+      count "tier_hit" (get "cache.tier.hit");
+      count "tier_miss" (get "cache.tier.miss");
+      count "tier_demote" (get "cache.tier.demote" - demote0);
+      count "tier_promote" (get "cache.tier.promote");
+      (* write-ahead cluster stagings *)
+      count "tier_wb_stage" (get "cache.tier.wb_stage");
+      count "tier_evict" (get "cache.tier.evict");
+      count "disk_reads" (Iolite_fs.Disk.reads disk - reads0);
+    ]
 
+(* Working sets against a 64 MB machine: the cache-absorbing regime,
+   the DRAM knee, and the tier-bound tail. *)
 let tier_ws_sizes_mb = [ 8; 16; 24; 48; 96; 150 ]
 
-let tier_sweep ?(scale = 1.0) ?(variant = `Both) ?tier_capacity
-    ?tier_bytes_per_sec () =
+let tier_sweep ~scale ~tiered =
   let trace, log = merged_subtrace () in
-  let run tiered =
-    List.map
-      (tier_point ~tiered ?tier_capacity ?tier_bytes_per_sec ~trace ~log
-         ~scale)
-      tier_ws_sizes_mb
-  in
-  match variant with
-  | `Baseline -> run false
-  | `Tiered -> run true
-  | `Both -> run false @ run true
+  List.map (tier_point ~tiered ~trace ~log ~scale) tier_ws_sizes_mb
 
 (* The latency exhibit: one small file read cold (disk: positioning +
    transfer), warm (DRAM hit), and from the tier (demotion forced by
@@ -1787,48 +1781,70 @@ let tier_probe_run () =
   let m = Kernel.metrics kernel in
   let get k = Iolite_obs.Metrics.get m k in
   write_obs_finish ~label:"tier probe" kernel;
+  let s name v = Scenario.float name ~unit:"s" ~dp:6 v in
+  Scenario.
+    [
+      s "dram_hit_s" !warm;
+      s "warm_tier_hit_s" !thit;
+      s "cold_disk_fill_s" !cold;
+      float "speedup" ~unit:"ratio" ~dp:2 (!cold /. Float.max 1e-9 !thit);
+      count "demote" (get "cache.tier.demote");
+      count "promote" (get "cache.tier.promote");
+      count "wb_stage" (get "cache.tier.wb_stage");
+    ]
+
+let tier_scenario =
+  let run size =
+    let scale = match size with Scenario.Full -> 0.25 | Tiny -> 0.05 in
+    Printf.printf "  dram-only baseline...\n%!";
+    let baseline = tier_sweep ~scale ~tiered:false in
+    Gc.full_major ();
+    Printf.printf "  tiered sweep...\n%!";
+    let tiered = tier_sweep ~scale ~tiered:true in
+    Gc.full_major ();
+    let probe = tier_probe_run () in
+    Scenario.
+      [
+        one ~suffix:" dram-baseline" baseline;
+        one ~suffix:" tiered" ~extras:[ ("probe", probe) ] tiered;
+      ]
+  in
+  let check = function
+    | [ baseline; tiered ] ->
+      let open Scenario in
+      let probe = extra tiered "probe" in
+      let pf = get_float probe and pi = get_int probe in
+      let b_reads = sum baseline "disk_reads" in
+      let t_reads = sum tiered "disk_reads" in
+      verdict
+        [
+          ( sum baseline "tier_hit" + sum baseline "tier_demote" = 0,
+            "baseline touched the tier" );
+          (sum tiered "tier_demote" > 0, "no demotions");
+          (sum tiered "tier_promote" > 0, "no promotions");
+          (b_reads > 0, "baseline never missed to disk");
+          (t_reads < b_reads, sprintf "disk reads %d vs %d" t_reads b_reads);
+          ( 0.0 < pf "dram_hit_s"
+            && pf "dram_hit_s" < pf "warm_tier_hit_s"
+            && pf "warm_tier_hit_s" < pf "cold_disk_fill_s",
+            "probe latencies not ordered dram < tier < disk" );
+          (pf "speedup" >= 5.0, sprintf "probe speedup %.2fx" (pf "speedup"));
+          (pi "demote" > 0 && pi "promote" > 0, "probe did not move the file");
+          (pi "wb_stage" > 0, "probe write did not stage through the tier");
+        ]
+    | runs -> Error [ sprintf "%d runs, not baseline + tiered" (List.length runs) ]
+  in
   {
-    pr_dram_hit_s = !warm;
-    pr_tier_hit_s = !thit;
-    pr_cold_disk_s = !cold;
-    pr_speedup = !cold /. Float.max 1e-9 !thit;
-    pr_demote = get "cache.tier.demote";
-    pr_promote = get "cache.tier.promote";
-    pr_stage = get "cache.tier.wb_stage";
+    Scenario.name = "tier";
+    doc =
+      "NVMM cache-tier sweep: working sets past a 64MB machine's DRAM, \
+       dram-only baseline against the persistent second tier with its \
+       demotion/promotion traffic, plus the latency probe (DRAM hit, warm \
+       tier hit, cold disk fill)";
+    file = "BENCH_tier.json";
+    benchmark = "nvmm-tier";
+    run;
+    check;
   }
 
-let print_tier points probe =
-  let rows =
-    List.map
-      (fun p ->
-        [
-          p.tp_label;
-          string_of_int p.tp_ws_mb;
-          Printf.sprintf "%.1f" p.tp_mbps;
-          string_of_int p.tp_dram_hits;
-          string_of_int p.tp_dram_evictions;
-          string_of_int p.tp_tier_hit;
-          string_of_int p.tp_tier_miss;
-          string_of_int p.tp_tier_demote;
-          string_of_int p.tp_tier_promote;
-          string_of_int p.tp_tier_stage;
-          string_of_int p.tp_tier_evict;
-          string_of_int p.tp_disk_reads;
-        ])
-      points
-  in
-  Table.print
-    ~header:
-      [
-        "variant"; "WS MB"; "MB/s"; "dram hit"; "dram evict"; "tier hit";
-        "tier miss"; "demote"; "promote"; "wb_stage"; "tier evict";
-        "disk reads";
-      ]
-    ~rows;
-  match probe with
-  | None -> ()
-  | Some pr ->
-    Printf.printf
-      "\nprobe (4KB): dram hit %.6fs | tier hit %.6fs | cold disk %.6fs | speedup %.1fx | demote=%d promote=%d wb_stage=%d\n"
-      pr.pr_dram_hit_s pr.pr_tier_hit_s pr.pr_cold_disk_s pr.pr_speedup
-      pr.pr_demote pr.pr_promote pr.pr_stage
+let scenarios = [ scale_scenario; async_scenario; write_scenario; tier_scenario ]

@@ -120,190 +120,27 @@ val smoke : ?tracing:bool -> unit -> smoke_result
     the CI smoke test, the trace-determinism test, and [iolite smoke]
     all run this. Two calls produce byte-identical [sm_trace_json]. *)
 
-(** {2 C1M: connection-scale scaffolding (timer wheel + size classes +
-    shards)} *)
+(** {2 Extension sweeps}
 
-type c1m_point = {
-  c1m_conns : int;  (** concurrent persistent connections held open *)
-  c1m_requests : int;  (** measured-phase request count *)
-  c1m_sim_rps : float;  (** requests per simulated second *)
-  c1m_wall_ns_per_req : float;
-      (** host wall-clock per request over the measured phase — the
-          per-op cost that must stay flat as [conns] grows *)
-  c1m_p50 : float;
-  c1m_p90 : float;
-  c1m_p99 : float;  (** request latency, simulated seconds *)
-  c1m_fresh_warm : int;
-      (** [pool.fresh] delta across the measured phase: fresh chunks
-          allocated after warm-up, ≈ 0 when recycling works *)
-  c1m_recycled_warm : int;  (** [pool.recycled] delta, same phase *)
-  c1m_timer_ns_per_op : float;
-      (** wall-clock per cancel+insert pair at full population — the
-          idle-timer re-arm cost on the timer wheel *)
-  c1m_peak_timers : int;  (** pending timers at peak, ≈ [conns] *)
-  c1m_idle_closed : int;  (** connections reaped by idle expiry (≈ 0) *)
-}
+    The C1M connection-scale sweep, the async disk pipeline under
+    memory pressure, clustered delayed write-back with the CAWL regimes
+    and the crash harness, and the NVMM second tier's working-set sweep
+    with its latency probe — each one {!Scenario.t}. *)
 
-val c1m : ?requests:int -> conns:int -> unit -> c1m_point
-(** One point of the connection-scale sweep: a Flash-Lite server holds
-    [conns] persistent connections (each with a one-hour idle timer),
-    64 driver fibers stream [requests] (default 50k) round-robin over
-    the whole population, and the measured phase is bracketed with
-    metrics snapshots and wall-clock stamps. The configuration is the
-    default one: timer wheel and 16-way connection/filter/latency
-    shards. Ends with a 100k-op timer cancel+insert churn at full
-    population. *)
+val scenarios : Scenario.t list
+(** [scale], [async], [write], [tier], in that order. *)
 
-val print_c1m : c1m_point list -> unit
+val write_sweep : unit -> Scenario.row list
+(** The [write] scenario's entries without the crash harness. First the
+    clustering headline ["delayed"]: 2 MB of 4 KB sequential writes, a
+    rewrite of the first eighth before any flush (superseding parked
+    extents), then [fsync] — compare ["disk_writes"] with ["writes"].
+    Then the CAWL points: 40 bursts of 128 KB ... 2 MB every 0.1 s
+    against a small dirty hard limit under flush intervals 0.2 s and
+    0.8 s, at memory speed below the knee and drain speed past it. *)
 
-(** {2 Async disk pipeline: tail latency under memory pressure} *)
-
-type async_point = {
-  as_scenario : string;  (** ["warm"] (128MB) or ["pressure"] (24MB) *)
-  as_mem_mb : int;
-  as_requests : int;  (** responses completed in the measured window *)
-  as_p50 : float;
-  as_p90 : float;
-  as_p99 : float;  (** request latency, simulated seconds *)
-  as_disk_util : float;
-      (** disk busy time / elapsed simulated time over the client run *)
-  as_disk_reads : int;
-  as_disk_writes : int;
-  as_batches : int;  (** dispatcher rounds *)
-  as_batched : int;  (** requests that shared a round with a neighbor *)
-  as_coalesced : int;  (** misses that joined an in-flight fill *)
-  as_ra_issued : int;
-  as_ra_hit : int;
-  as_swap_writes : int;  (** swap traffic (writes + faults) *)
-  as_seq_read_s : float;
-      (** cold 1.75MB sequential read, simulated seconds — the
-          readahead-pipelining headline *)
-  as_attr_completed : int;
-      (** foreground requests with a wait-state decomposition *)
-  as_attr_totals : (string * float) list;
-      (** [("wall", _)] plus the five causes, summed over the measured
-          population ({!Iolite_obs.Attrib.totals}) *)
-  as_tail : Iolite_obs.Attrib.record list;
-      (** the slowest-K reservoir, slowest first — the tail profiler's
-          input *)
-}
-
-val async_point : ?scale:float -> pressure:bool -> unit -> async_point
-(** One point: a cold 1.75MB sequential read (the readahead headline),
-    then foreground-vs-background contention — a scanner process streams
-    wc over 24MB of 1MB data files while three workers serve small-file
-    requests (70% warmed hot head, 30% cold tail) and are the measured
-    latency population. [pressure] shrinks memory to 24MB so the scan
-    never fits the io budget and keeps the disk at its knee; what a
-    foreground miss then costs is the measurement. *)
-
-val async_sweep : ?scale:float -> unit -> async_point list
-(** warm then pressure. *)
-
-val print_async : async_point list -> unit
-
-val print_async_tail : async_point list -> unit
-(** The p99 tail profiler's report: per sweep point, the aggregate
-    wait-state decomposition (percent of total wall per cause) and the
-    slowest-K table — per retained request its five-way breakdown,
-    dominant cause and coverage (components / wall, the >=95%
-    contract). *)
-
-(** {2 Clustered delayed write-back: clustering headline and CAWL
-    regimes} *)
-
-type write_point = {
-  wp_label : string;  (** ["delayed"] / ["F=0.2s"] ... *)
-  wp_flush_interval : float;
-  wp_burst : int;  (** CAWL burst bytes; 0 for the headline point *)
-  wp_x : float;  (** burst / hard dirty limit; 0 for the headline *)
-  wp_writes : int;  (** write syscalls issued *)
-  wp_bytes : int;
-  wp_disk_writes : int;  (** disk write operations *)
-  wp_disk_bytes : int;
-  wp_cluster_writes : int;  (** clustered requests submitted *)
-  wp_clustered : int;  (** dirty extents that rode a >=2-extent cluster *)
-  wp_flushes : int;  (** flush rounds that submitted work *)
-  wp_superseded : int;  (** parked extents replaced before durable *)
-  wp_throttled : int;  (** writes blocked at the dirty hard limit *)
-  wp_write_s : float;  (** simulated time inside write syscalls + fsync *)
-  wp_mbps : float;  (** bytes / write_s *)
-}
-
-val write_seq_point : unit -> write_point
-(** The clustering headline: 2 MB of 4 KB sequential writes, a rewrite
-    of the first eighth before any flush (superseding the parked
-    extents), then [fsync]. Delayed write-back merges adjacent dirty
-    extents into extent-sized clusters — compare [wp_disk_writes]
-    with [wp_writes]. *)
-
-val write_cawl_point :
-  flush_interval:float -> burst:int -> unit -> write_point
-(** One CAWL point: 40 bursts of [burst] bytes every 0.1 s against a
-    small dirty hard limit (high watermark disabled). Below the knee
-    the writer runs at memory speed; when one flush interval's
-    accumulation crosses the hard limit, write throughput collapses to
-    the drain (disk) speed. *)
-
-val write_cawl_sweep : unit -> write_point list
-(** Bursts 128 KB ... 2 MB under flush intervals 0.2 s and 0.8 s: the
-    knee's position in [x] shifts by the interval ratio. *)
-
-val print_write : write_point list -> unit
-
-(** {2 NVMM second tier: working-set sweeps and the latency probe} *)
-
-type tier_point = {
-  tp_label : string;  (** ["dram-only"] / ["tiered"] *)
-  tp_ws_mb : int;  (** working-set target (MB of distinct bytes) *)
-  tp_mbps : float;
-  tp_dram_hits : int;  (** unified-cache hits during the run *)
-  tp_dram_evictions : int;  (** DRAM evictions (the demotion source) *)
-  tp_tier_hit : int;
-  tp_tier_miss : int;
-  tp_tier_demote : int;  (** run-time demotions (preload excluded) *)
-  tp_tier_promote : int;
-  tp_tier_stage : int;  (** write-ahead cluster stagings *)
-  tp_tier_evict : int;
-  tp_disk_reads : int;
-}
-
-type tier_probe = {
-  pr_dram_hit_s : float;  (** warm unified-cache read *)
-  pr_tier_hit_s : float;  (** read promoting from the NVMM tier *)
-  pr_cold_disk_s : float;  (** cold read through the disk *)
-  pr_speedup : float;  (** cold_disk / tier_hit *)
-  pr_demote : int;
-  pr_promote : int;
-  pr_stage : int;
-}
-
-val tier_ws_sizes_mb : int list
-(** [8; 16; 24; 48; 96; 150] against a 64 MB machine: the
-    cache-absorbing regime, the DRAM knee, and the tier-bound tail. *)
-
-val tier_sweep :
-  ?scale:float ->
-  ?variant:[ `Baseline | `Tiered | `Both ] ->
-  ?tier_capacity:int ->
-  ?tier_bytes_per_sec:float ->
-  unit ->
-  tier_point list
-(** Fig. 10's working-set sweep replayed on a small (64 MB) machine,
-    with and without the tier armed. [`Baseline] runs DRAM-only (the
-    recorded reference), [`Tiered] the NVMM configuration, [`Both]
-    (default) baseline first then tiered. [tier_capacity] (bytes) and
-    [tier_bytes_per_sec] override the kernel defaults (10x the I/O
-    budget, 20 MB/s) — the CLI's sizing knobs. DRAM and tier are
-    warm-started the way {!val-fig10} warms the cache; the tier's
-    warm-up demotions are excluded from [tp_tier_demote]. *)
-
-val tier_probe_run : unit -> tier_probe
-(** Deterministic single-request latency exhibit on a 16 MB machine: a
-    4 KB file read cold (disk positioning dominates), warm (DRAM), and
-    after a forced demotion (pure NVMM transfer) — the warm tier hit
-    must land between the DRAM hit and the cold disk fill. Finishes with
-    a write + [fsync] so the write-ahead staging path shows up in
-    [pr_stage]. *)
-
-val print_tier : tier_point list -> tier_probe option -> unit
+val tier_probe_run : unit -> Scenario.row
+(** The [tier] scenario's ["probe"] row: on a 16 MB machine a 4 KB file
+    read cold (disk positioning dominates), warm (DRAM), and after a
+    forced demotion (pure NVMM transfer), then a write + [fsync] that
+    stages through the tier. *)

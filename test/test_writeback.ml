@@ -230,9 +230,12 @@ let test_hard_limit_throttles_and_releases () =
       Kernel.mem_capacity = 32 * 1024 * 1024;
       (* Watermark off (hi >= hard), tiny hard limit: every burst
          overshoots and must block on the drain. *)
-      dirty_hi_ratio = 1.0;
-      dirty_hard_ratio = 0.05;
-      flush_interval = 0.2;
+      writeback =
+        {
+          Iolite_os.Writeback.wb_flush_interval = 0.2;
+          wb_hi_ratio = 1.0;
+          wb_hard_ratio = 0.05;
+        };
     }
   in
   let _, kernel = mk ~config () in
@@ -310,15 +313,15 @@ let test_eager_vs_delayed_disk_ops () =
      Write-through paid one disk operation per write (576 of 576 in the
      recorded BENCH_write.json eager point). *)
   let module E = Iolite_workload.Experiments in
-  let delayed = E.write_seq_point () in
-  Alcotest.(check int) "writes issued" 576 delayed.E.wp_writes;
+  let delayed = Iolite_workload.Scenario.get_int (List.hd (E.write_sweep ())) in
+  Alcotest.(check int) "writes issued" 576 (delayed "writes");
   Alcotest.(check bool) "delayed superseded the rewrite" true
-    (delayed.E.wp_superseded > 0);
+    (delayed "superseded" > 0);
   Alcotest.(check bool)
     (Printf.sprintf "disk ops <= writes / 8 (writes %d, disk ops %d)"
-       delayed.E.wp_writes delayed.E.wp_disk_writes)
+       (delayed "writes") (delayed "disk_writes"))
     true
-    (8 * delayed.E.wp_disk_writes <= delayed.E.wp_writes)
+    (8 * delayed "disk_writes" <= delayed "writes")
 
 (* ----------------------------- msync ------------------------------ *)
 
