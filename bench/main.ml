@@ -76,6 +76,23 @@ let test_agg_of_string =
     (Staged.stage (fun () ->
          Iobuf.Agg.free (Iobuf.Agg.of_string pool ~producer:d payload)))
 
+(* A 256 KB aggregate of four 64 KB slices; divide by 262144 for the
+   host ns/byte of one modelled copy. *)
+let agg_256k () =
+  let sys, d, pool = fixture () in
+  (sys, d, pool, Iobuf.Agg.of_string pool ~producer:d (String.make 262144 'y'))
+
+let test_agg_to_string =
+  let sys, _, _, agg = agg_256k () in
+  Test.make ~name:"agg: to_string 256KB (4 slices)"
+    (Staged.stage (fun () -> ignore (Iobuf.Agg.to_string sys agg)))
+
+let test_agg_copy_to_pool =
+  let sys, d, pool, agg = agg_256k () in
+  Test.make ~name:"agg: copy_to_pool 256KB"
+    (Staged.stage (fun () ->
+         Iobuf.Agg.free (Iobuf.Agg.copy_to_pool sys agg pool ~producer:d)))
+
 let test_agg_concat_split =
   let _, d, pool = fixture () in
   let a = Iobuf.Agg.of_string pool ~producer:d (String.make 1024 'a') in
@@ -153,6 +170,8 @@ let micro_tests =
   [
     test_pool_alloc_free;
     test_agg_of_string;
+    test_agg_to_string;
+    test_agg_copy_to_pool;
     test_agg_concat_split;
     test_cksum_cold;
     test_cksum_cached;

@@ -787,8 +787,13 @@ module Agg = struct
     in
     of_root root
 
-  let of_string pool ~producer s =
-    let n = String.length s in
+  (* Allocate, fill and seal the buffers holding [n] bytes, one per
+     [Pool.max_alloc] bytes: each buffer is allocated, charged one [Fill]
+     of its length (the blit [fill data pos len] is skipped when data
+     touching is off, exactly as in {!Buffer.blit_string}) and sealed
+     before the next is allocated. [fill] receives the buffers in content
+     order. *)
+  let of_filled pool ~producer n fill =
     if n = 0 then empty ()
     else begin
       let rec build pos acc =
@@ -796,7 +801,7 @@ module Agg = struct
         else begin
           let size = min Pool.max_alloc (n - pos) in
           let b = Pool.alloc pool ~producer size in
-          Buffer.blit_string b ~src:s ~src_off:pos ~dst_off:0 ~len:size;
+          Buffer.fill_with b fill;
           Buffer.seal b;
           build (pos + size) (Slice.make b ~off:0 ~len:size :: acc)
         end
@@ -807,6 +812,12 @@ module Agg = struct
       List.iter (fun s -> Buffer.decr_ref (Slice.buffer s)) slices;
       t
     end
+
+  let of_string pool ~producer s =
+    let pos = ref 0 in
+    of_filled pool ~producer (String.length s) (fun data off len ->
+        Bytes.blit_string s !pos data off len;
+        pos := !pos + len)
 
   (* Owned node holding bytes [off, off+len) of [n] ([n] borrowed,
      len ≥ 1). Shares whole subtrees; O(log n) fresh nodes along the two
@@ -863,12 +874,30 @@ module Agg = struct
     in
     walk (Option.get t.root) i
 
-  let raw_string t =
-    let buf = Stdlib.Buffer.create (length t) in
-    iter_leaves t.root (fun s ->
+  let reader t =
+    check t;
+    (* The unread slices, from byte [used] of the first. *)
+    let rest = ref (slices t) and used = ref 0 in
+    let rec next dst pos len =
+      match !rest with
+      | s :: tl when len > 0 ->
+        let take = min len (Slice.len s - !used) in
         let data, off = Slice.view s in
-        Stdlib.Buffer.add_subbytes buf data off (Slice.len s));
-    Stdlib.Buffer.contents buf
+        Bytes.blit data (off + !used) dst pos take;
+        used := !used + take;
+        if !used = Slice.len s then begin
+          rest := tl;
+          used := 0
+        end;
+        next dst (pos + take) (len - take)
+      | _ -> ()
+    in
+    next
+
+  let raw_string t =
+    let dst = Bytes.create (length t) in
+    reader t dst 0 (length t);
+    Bytes.unsafe_to_string dst
 
   let to_string sys t =
     check t;
@@ -881,13 +910,12 @@ module Agg = struct
     if pos < 0 || pos + total > Bytes.length dst then
       invalid_arg "Agg.blit_to_bytes: range";
     Iosys.touch sys Iosys.Copy total;
-    if Iosys.touch_data sys then begin
-      let cursor = ref pos in
-      iter_leaves t.root (fun s ->
-          let data, off = Slice.view s in
-          Bytes.blit data off dst !cursor (Slice.len s);
-          cursor := !cursor + Slice.len s)
-    end
+    if Iosys.touch_data sys then reader t dst pos total
+
+  let copy_to_pool sys t pool ~producer =
+    check t;
+    Iosys.touch sys Iosys.Copy (length t);
+    of_filled pool ~producer (length t) (reader t)
 
   (* Clipped slices of [t] overlapping [off, off+len), in order. *)
   let ranged t ~off ~len =

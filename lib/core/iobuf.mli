@@ -265,6 +265,22 @@ module Agg : sig
 
   val blit_to_bytes : Iosys.t -> t -> Bytes.t -> pos:int -> unit
 
+  val reader : t -> Bytes.t -> int -> int -> unit
+  (** [reader t] is a cursor over [t]'s bytes: each call [next dst pos len]
+      of [next = reader t] copies the next [len] unread bytes (fewer at
+      the end) into [dst] at [pos], one blit per slice piece. It charges
+      nothing: it is the host side of a copy its caller charges. [t] must
+      stay live while the cursor is used. *)
+
+  val copy_to_pool : Iosys.t -> t -> Pool.t -> producer:Pdomain.t -> t
+  (** [copy_to_pool sys t pool ~producer] is a physical copy of [t] into
+      fresh sealed buffers from [pool]: the same charges, allocations
+      and seals, in the same order, as
+      [of_string pool ~producer (to_string sys t)] — one [Copy] of the
+      length, then per buffer an allocation, a [Fill] of its length and a
+      seal — but each byte is copied once, straight from [t]'s slices
+      into its destination. [t] stays owned by the caller. *)
+
   val try_overwrite : Iosys.t -> t -> off:int -> string -> bool
   (** The footnote-2 optimization of Section 3.1: "I/O data can be
       modified in place if they are not currently shared." Succeeds —

@@ -21,26 +21,37 @@ let of_agg_zero_copy ?pkt_cksums agg =
   let units = max 1 (Iobuf.Agg.num_slices agg) in
   { mbufs = [ External agg ]; payload; units; pkt_cksums; freed = false }
 
+(* The copied chain of [n] payload bytes: one inline mbuf when the
+   payload fits, otherwise one mbuf per [cluster_size] cluster.
+   [next dst pos len] writes the payload's next [len] bytes into [dst] at
+   [pos], so each byte is copied once, straight into its mbuf. *)
+let copied n next =
+  let mbuf len =
+    let dst = Bytes.create len in
+    next dst 0 len;
+    Inline (Bytes.unsafe_to_string dst)
+  in
+  let rec split pos acc =
+    if pos >= n then List.rev acc
+    else begin
+      let take = min cluster_size (n - pos) in
+      let m = mbuf take in
+      split (pos + take) (m :: acc)
+    end
+  in
+  let mbufs = if n <= inline_limit then [ mbuf n ] else split 0 [] in
+  { mbufs; payload = n; units = List.length mbufs; pkt_cksums = None; freed = false }
+
 let of_string s =
-  let n = String.length s in
-  if n <= inline_limit then
-    { mbufs = [ Inline s ]; payload = n; units = 1; pkt_cksums = None; freed = false }
-  else begin
-    (* Split across clusters. *)
-    let rec split pos acc =
-      if pos >= n then List.rev acc
-      else begin
-        let take = min cluster_size (n - pos) in
-        split (pos + take) (Inline (String.sub s pos take) :: acc)
-      end
-    in
-    let mbufs = split 0 [] in
-    { mbufs; payload = n; units = List.length mbufs; pkt_cksums = None; freed = false }
-  end
+  let read = ref 0 in
+  copied (String.length s) (fun dst pos len ->
+      Bytes.blit_string s !read dst pos len;
+      read := !read + len)
 
 let of_agg_copied sys agg =
-  let s = Iobuf.Agg.to_string sys agg in
-  of_string s
+  let n = Iobuf.Agg.length agg in
+  Iosys.touch sys Iosys.Copy n;
+  copied n (Iobuf.Agg.reader agg)
 
 let length c = c.payload
 

@@ -163,9 +163,15 @@ let deliver proc agg =
   | () -> agg
   | exception Iolite_mem.Vm.Protection_fault _ ->
     Metrics.incr (Kernel.metrics kernel) "cache.acl_copy";
-    let data = Iobuf.Agg.to_string sys agg in
+    let copy =
+      Iobuf.Agg.copy_to_pool sys agg (Process.pool proc)
+        ~producer:(Process.domain proc)
+    in
+    (* The cache's own references keep [agg]'s buffers alive, so freeing
+       it after the copy leaves the pool's allocation sequence as it was
+       with the copy taken first. *)
     Iobuf.Agg.free agg;
-    Iobuf.Agg.of_string (Process.pool proc) ~producer:(Process.domain proc) data
+    copy
 
 (* {2 Extent-granular fills and readahead}
 

@@ -3,9 +3,10 @@
     (Section 4.2), and [mmap] (Section 3.8).
 
     On a unified-cache miss, small files are fetched whole from the
-    simulated disk into IO-Lite buffers allocated from the {e requesting
-    process's} pool (the pool determines the ACL of the cached data,
-    Section 3.3) but {e produced} by the trusted kernel, so no
+    simulated disk into IO-Lite buffers allocated from the kernel's
+    world-readable file pool — or from the pool passed to {!iol_read}'s
+    [?pool] (the pool determines the ACL of the cached data, Section
+    3.3) — but {e produced} by the trusted kernel, so no
     write-permission toggling occurs. Disk placement is DMA: no CPU is
     charged for the fill.
 
@@ -34,6 +35,13 @@ val iol_read :
     references the file cache's buffers; the calling domain is granted
     read mappings (charged only for cold chunks). The caller owns the
     aggregate.
+
+    The one exception is the ACL fallback: when the cached data's ACL
+    excludes the caller (it sits in another process's pool, e.g. a
+    writer's private pool or another reader's [?pool]), the data arrives
+    as a physical copy into fresh buffers from the caller's own pool —
+    one [Copy] and one [Fill] of the length — counted by
+    [cache.acl_copy].
 
     [pool] is the Section 3.4 extension ("a version of IOL_read allows
     applications to specify an allocation pool"): data fetched from disk

@@ -109,9 +109,16 @@ let find_newline agg ~from =
 (* Copy [off, off+len) of [agg] into [buf] (the app-side copy, charged). *)
 let append_range ic agg ~off ~len buf =
   if len > 0 then begin
-    let piece = Iobuf.Agg.sub agg ~off ~len in
-    Buffer.add_string buf (Iobuf.Agg.to_string (Kernel.sys (Process.kernel ic.iproc)) piece);
-    Iobuf.Agg.free piece;
+    Iosys.touch (Kernel.sys (Process.kernel ic.iproc)) Iosys.Copy len;
+    let pos = ref 0 in
+    Iobuf.Agg.iter_slices agg (fun s ->
+        let slen = Iobuf.Slice.len s in
+        let lo = max off !pos and hi = min (off + len) (!pos + slen) in
+        if lo < hi then begin
+          let data, base = Iobuf.Slice.view s in
+          Buffer.add_subbytes buf data (base + lo - !pos) (hi - lo)
+        end;
+        pos := !pos + slen);
     Process.charge_pending ic.iproc
   end
 

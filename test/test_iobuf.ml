@@ -561,6 +561,99 @@ let prop_refcount_balanced =
       Iobuf.Buffer.decr_ref probe;
       Iobuf.Pool.chunk_count pool = chunks_before)
 
+(* [copy_to_pool] against the composition it replaces,
+   [of_string pool (to_string sys t)], on twin systems: a rope of
+   [pieces] sub-ranges of [total] random bytes cut at odd offsets is
+   copied into a fresh target pool on each. The bytes, the charge and
+   allocation counters, the whole sequence of data touches, and the
+   result's slice lengths must agree; every result buffer must be sealed
+   and come from the target pool. [to_string] must equal the
+   [fold_bytes] concatenation. *)
+let copy_oracle ~touch_data (pieces, total, seed) =
+  let st = Random.State.make [| seed |] in
+  let content = String.init total (fun _ -> Char.chr (Random.State.int st 256)) in
+  let cuts =
+    List.init (pieces - 1) (fun _ ->
+        min total (Random.State.int st (total + 1) lor 1))
+    |> List.sort compare
+  in
+  let bounds = (0 :: cuts) @ [ total ] in
+  let rec ranges = function
+    | lo :: (hi :: _ as rest) -> (lo, hi - lo) :: ranges rest
+    | _ -> []
+  in
+  (* The source is cut from a flat copy behind an odd-length pad, so its
+     64 KB buffer boundaries fall mid-buffer of the result. *)
+  let pad = 1 + (2 * Random.State.int st 5000) in
+  let run copy =
+    let sys, app, pool = mk () in
+    let flat = alloc_str pool app (String.make pad '.' ^ content) in
+    let parts =
+      List.map
+        (fun (off, len) -> Iobuf.Agg.sub flat ~off:(pad + off) ~len)
+        (ranges bounds)
+    in
+    let src = Iobuf.Agg.concat_list parts in
+    List.iter Iobuf.Agg.free (flat :: parts);
+    let folded =
+      Iobuf.Agg.fold_bytes src ~init:"" ~f:(fun acc data off len ->
+          acc ^ Bytes.sub_string data off len)
+    in
+    let to_string_ok = String.equal (Iobuf.Agg.to_string sys src) folded in
+    let target =
+      Iobuf.Pool.create sys ~name:"target"
+        ~acl:(Mem.Vm.Only (Mem.Pdomain.Set.singleton app))
+    in
+    Iosys.set_touch_data sys touch_data;
+    let touches = ref [] in
+    Iosys.set_on_touch sys (fun kind n ->
+        touches := (Iosys.touch_name kind, n) :: !touches);
+    let counters () =
+      List.map
+        (Iolite_obs.Metrics.get (Iosys.metrics sys))
+        [ "bytes.copied"; "bytes.filled"; "pool.alloc"; "pool.fresh" ]
+    in
+    let before = counters () in
+    let out = copy sys src target ~producer:app in
+    let deltas = List.map2 ( - ) (counters ()) before in
+    let slices = Iobuf.Agg.slices out in
+    let in_target =
+      List.for_all
+        (fun s ->
+          let b = Iobuf.Slice.buffer s in
+          Iobuf.Buffer.is_sealed b && Iobuf.Buffer.pool_name b = "target")
+        slices
+      && List.for_all (fun p -> p == target) (Iobuf.Agg.pools out)
+    in
+    let result =
+      ( agg_str out,
+        deltas,
+        List.map Iobuf.Slice.len slices,
+        List.rev !touches,
+        in_target && to_string_ok && String.equal folded content )
+    in
+    Iobuf.Agg.free src;
+    Iobuf.Agg.free out;
+    result
+  in
+  let bytes, deltas, lens, touches, ok = run Iobuf.Agg.copy_to_pool in
+  let bytes', deltas', lens', touches', ok' =
+    run (fun sys t pool ~producer ->
+        Iobuf.Agg.of_string pool ~producer (Iobuf.Agg.to_string sys t))
+  in
+  ok && ok' && deltas = deltas' && lens = lens' && touches = touches'
+  && List.hd deltas = total
+  && ((not touch_data) || (String.equal bytes content && String.equal bytes' content))
+
+let prop_copy_to_pool_oracle =
+  QCheck.Test.make ~name:"copy_to_pool = of_string (to_string)" ~count:60
+    QCheck.(triple (int_range 1 40) (int_range 0 200_000) small_nat)
+    (copy_oracle ~touch_data:true)
+
+let test_copy_to_pool_no_touch () =
+  Alcotest.(check bool) "same charges and shape, data touching off" true
+    (copy_oracle ~touch_data:false (17, 150_001, 5))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -569,6 +662,7 @@ let qcheck_cases =
       prop_split_concat_inverse;
       prop_sub_matches_string_sub;
       prop_refcount_balanced;
+      prop_copy_to_pool_oracle;
     ]
 
 let suites =
@@ -591,6 +685,7 @@ let suites =
         Alcotest.test_case "copy accounting" `Quick test_copy_accounting;
         Alcotest.test_case "fill_with accounting" `Quick test_fill_with;
         Alcotest.test_case "fill accounting" `Quick test_fill_accounting;
+        Alcotest.test_case "copy_to_pool, touch_data off" `Quick test_copy_to_pool_no_touch;
         Alcotest.test_case "overwrite unshared" `Quick test_try_overwrite_unshared;
         Alcotest.test_case "overwrite shared refused" `Quick test_try_overwrite_shared_refused;
         Alcotest.test_case "overwrite bumps generation" `Quick test_try_overwrite_bumps_generation;

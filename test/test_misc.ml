@@ -212,18 +212,33 @@ let test_acl_copy_fallback () =
          Iolite_core.Iobuf.Agg.free a;
          ignore
            (Process.spawn kernel ~name:"bob" (fun bob ->
+                let metric = Iolite_obs.Metrics.get (Kernel.metrics kernel) in
                 let before =
-                  Iolite_obs.Metrics.get (Kernel.metrics kernel)
-                    "cache.acl_copy"
+                  List.map metric
+                    [ "cache.acl_copy"; "bytes.copied"; "bytes.filled" ]
                 in
                 let b = Fileio.iol_read bob ~file ~off:0 ~len:5_000 in
+                let after =
+                  List.map metric
+                    [ "cache.acl_copy"; "bytes.copied"; "bytes.filled" ]
+                in
                 Alcotest.(check int) "bytes correct" 5_000
                   (Iolite_core.Iobuf.Agg.length b);
-                let after =
-                  Iolite_obs.Metrics.get (Kernel.metrics kernel)
-                    "cache.acl_copy"
+                Alcotest.(check (list int))
+                  "one fallback copy: 5000 B copied, 5000 B filled"
+                  [ 1; 5_000; 5_000 ]
+                  (List.map2 ( - ) after before);
+                let module Iobuf = Iolite_core.Iobuf in
+                let data =
+                  Iobuf.Agg.fold_bytes b ~init:"" ~f:(fun acc d off len ->
+                      acc ^ Bytes.sub_string d off len)
                 in
-                Alcotest.(check int) "fallback copy counted" (before + 1) after;
+                Alcotest.(check bool) "file contents" true
+                  (Iolite_fs.Filestore.check_string ~file ~off:0 data);
+                Iobuf.Agg.iter_slices b (fun s ->
+                    Alcotest.(check string) "in bob's pool"
+                      (Iobuf.Pool.name (Process.pool bob))
+                      (Iobuf.Buffer.pool_name (Iobuf.Slice.buffer s)));
                 Iolite_core.Iobuf.Agg.free b;
                 done_ := true))));
   Engine.run (Kernel.engine kernel);

@@ -399,6 +399,63 @@ let test_mbuf_carries_packet_cksums () =
   Mbuf.free chain;
   Mbuf.free plain
 
+(* The conventional path's chains against the split it has always
+   made: one inline mbuf up to [inline_limit] bytes, else one mbuf per
+   2048-byte cluster, each holding the next bytes of the payload. Ropes
+   of several slices put their boundaries mid-cluster. *)
+let test_mbuf_copied_clusters () =
+  let reference s =
+    let n = String.length s in
+    if n <= Mbuf.inline_limit then [ s ]
+    else List.init ((n + 2047) / 2048) (fun i -> String.sub s (i * 2048) (min 2048 (n - (i * 2048))))
+  in
+  let inline_strings chain =
+    let acc = ref [] in
+    Mbuf.iter chain (function
+      | Mbuf.Inline s -> acc := s :: !acc
+      | Mbuf.External _ -> Alcotest.fail "copied chain holds an external mbuf");
+    List.rev !acc
+  in
+  let check_chain what s chain =
+    let clusters = reference s in
+    Alcotest.(check (list string)) (what ^ ": inline bytes") clusters
+      (inline_strings chain);
+    Alcotest.(check int) (what ^ ": payload") (String.length s) (Mbuf.length chain);
+    Alcotest.(check int) (what ^ ": mbuf_count") (List.length clusters)
+      (Mbuf.mbuf_count chain);
+    Alcotest.(check int) (what ^ ": wired_bytes")
+      ((List.length clusters * Mbuf.mbuf_header_size) + String.length s)
+      (Mbuf.wired_bytes chain)
+  in
+  let sys, d, pool = mk () in
+  let copied () = Iolite_obs.Metrics.get (Iosys.metrics sys) "bytes.copied" in
+  let case pieces =
+    let s = String.concat "" pieces in
+    let parts = List.map (Iobuf.Agg.of_string pool ~producer:d) pieces in
+    let agg = Iobuf.Agg.concat_list parts in
+    List.iter Iobuf.Agg.free parts;
+    let what =
+      Printf.sprintf "%d bytes in %d slices" (String.length s)
+        (Iobuf.Agg.num_slices agg)
+    in
+    let before = copied () in
+    let chain = Mbuf.of_agg_copied sys agg in
+    Alcotest.(check int) (what ^ ": copy charged once") (String.length s)
+      (copied () - before);
+    check_chain what s chain;
+    let flat = Mbuf.of_string (Iobuf.Agg.to_string sys agg) in
+    check_chain (what ^ " via of_string") s flat;
+    List.iter Mbuf.free [ chain; flat ];
+    Iobuf.Agg.free agg
+  in
+  let text n seed = String.init n (fun i -> Char.chr (((i * 31) + seed) land 255)) in
+  List.iter
+    (fun n -> case [ text n 7 ])
+    [ 1; 108; 109; 2047; 2048; 2049; 10_000; 65_537 ];
+  case [ text 1000 1; text 1500 2; text 3 3; text 4000 4; text 2049 5 ];
+  case [ text 50 1; text 59 2 ];
+  case (List.init 40 (fun i -> text (97 + (i * 13)) i))
+
 let test_mbuf_inline_small () =
   let chain = Mbuf.of_string "tiny" in
   Alcotest.(check int) "one mbuf" 1 (Mbuf.mbuf_count chain);
@@ -459,6 +516,7 @@ let suites =
       [
         Alcotest.test_case "zero-copy wiring" `Quick test_mbuf_zero_copy_wiring;
         Alcotest.test_case "copied wiring" `Quick test_mbuf_copied_wiring;
+        Alcotest.test_case "copied clusters" `Quick test_mbuf_copied_clusters;
         Alcotest.test_case "inline small" `Quick test_mbuf_inline_small;
         Alcotest.test_case "carries packet checksums" `Quick
           test_mbuf_carries_packet_cksums;
