@@ -42,6 +42,7 @@ module Iobuf = Iolite_core.Iobuf
 module Transfer = Iolite_core.Transfer
 module Filecache = Iolite_core.Filecache
 module Cksum = Iolite_net.Cksum
+module Http = Iolite_httpd.Http
 module Vm = Iolite_mem.Vm
 module Pdomain = Iolite_mem.Pdomain
 module Scenario = Iolite_workload.Scenario
@@ -119,6 +120,39 @@ let test_cksum_cached =
   Test.make ~name:"cksum: 4KB via checksum cache (hit)"
     (Staged.stage (fun () -> ignore (Cksum.Cache.agg_sum cache agg)))
 
+(* A Flash-Lite response as the send path sees it: a fresh 200-byte
+   header before a cached 12 KB body, checksummed per 1500-byte packet
+   with every fragment sum already in the identity table. *)
+let test_packet_sums_warm =
+  let _, d, pool = fixture () in
+  let cache = Cksum.Cache.create () in
+  let header = Iobuf.Agg.of_string pool ~producer:d (String.make 200 'h') in
+  let body = Iobuf.Agg.of_string pool ~producer:d (String.make 12288 'b') in
+  let resp = Iobuf.Agg.concat header body in
+  ignore (Cksum.Cache.packet_sums cache resp ~mtu:1500);
+  Test.make ~name:"net: packet_sums warm 12 KB response"
+    (Staged.stage (fun () -> ignore (Cksum.Cache.packet_sums cache resp ~mtu:1500)))
+
+(* The conventional send: copy a 10 KB response into mbuf clusters and
+   free the chain, as the drain does. *)
+let test_mbuf_copied =
+  let sys, d, pool = fixture () in
+  let clusters = Iolite_net.Mbuf.clusters () in
+  let agg = Iobuf.Agg.of_string pool ~producer:d (String.make 10240 'm') in
+  Test.make ~name:"net: of_agg_copied 10 KB"
+    (Staged.stage (fun () ->
+         Iolite_net.Mbuf.free (Iolite_net.Mbuf.of_agg_copied clusters sys agg)))
+
+let test_response_header =
+  Test.make ~name:"http: response_header"
+    (Staged.stage (fun () ->
+         ignore (Http.response_header ~keep_alive:false ~content_length:12345 ())))
+
+let test_parse_request =
+  let req = Http.request_string "/doc/r1234" in
+  Test.make ~name:"http: parse_request"
+    (Staged.stage (fun () -> ignore (Http.parse_request req)))
+
 let test_transfer_warm =
   let sys, d, pool = fixture () in
   ignore pool;
@@ -175,6 +209,10 @@ let micro_tests =
     test_agg_concat_split;
     test_cksum_cold;
     test_cksum_cached;
+    test_packet_sums_warm;
+    test_mbuf_copied;
+    test_response_header;
+    test_parse_request;
     test_transfer_warm;
     test_cache_hit;
     test_zipf;

@@ -203,6 +203,11 @@ module Slice = struct
   let view s =
     let data, base = Buffer.view s.sbuf in
     (data, base + s.soff)
+
+  let chunk_id s = Vm.chunk_id s.sbuf.store.vc
+  let generation s = s.sbuf.generation
+  let chunk_off s = s.sbuf.boff + s.soff
+  let backing s = s.sbuf.store.data
 end
 
 module Pool = struct

@@ -115,6 +115,22 @@ module Slice : sig
 
   val view : t -> Bytes.t * int
   (** Backing bytes and absolute offset of the slice's first byte. *)
+
+  (** {3 Identity and view without allocation}
+
+      The components of {!uid} and {!view} one at a time, for hot paths
+      that must not allocate a record or tuple per slice. *)
+
+  val chunk_id : t -> int
+  val generation : t -> int
+
+  val chunk_off : t -> int
+  (** Offset of the slice's first byte within its chunk: both the
+      [offset] of {!uid} and the absolute offset of {!view}. *)
+
+  val backing : t -> Bytes.t
+  (** The chunk's backing bytes (first component of {!view}); must not
+      be mutated. *)
 end
 
 module Pool : sig

@@ -83,6 +83,20 @@ module Cache : sig
   (** [(partial_sum, was_hit)] for the slice's contents (sum assumes the
       slice starts at even parity). A hit means no data was touched. *)
 
+  val find_key :
+    t -> chunk:int -> generation:int -> off:int -> len:int -> int option
+  (** Probe the table for a raw identity key (the components of
+      {!Iolite_core.Iobuf.Slice.uid}): a hit sets the entry's reference
+      bit; either outcome is counted in {!hits} or {!misses}. Offset and
+      length must be below 2^17 and the generation below 2^28
+      ([Invalid_argument] otherwise). *)
+
+  val insert_key :
+    t -> chunk:int -> generation:int -> off:int -> len:int -> int -> unit
+  (** Cache a sum for a key that {!find_key} has just missed, first
+      evicting by second chance when the table holds [max_entries]
+      entries. The key must be absent. *)
+
   val agg_sum :
     t -> Iolite_core.Iobuf.Agg.t -> int * int
   (** Fold a whole aggregate: [(checksum_sum, bytes_computed)] where

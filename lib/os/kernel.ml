@@ -53,6 +53,7 @@ type t = {
   unified_cache : Filecache.t;
   conv_cache : Filecache.t;
   cksum_cache : Iolite_net.Cksum.Cache.t;
+  clusters : Iolite_net.Mbuf.clusters;
   filter : Iolite_net.Packetfilter.t;
   page_pool : Iolite_core.Iobuf.Pool.t;
   file_pool : Iolite_core.Iobuf.Pool.t;
@@ -172,6 +173,7 @@ let create ?config engine =
       conv_cache;
       cksum_cache =
         Iolite_net.Cksum.Cache.create ~enabled:config.cksum_cache_enabled ();
+      clusters = Iolite_net.Mbuf.clusters ();
       filter = Iolite_net.Packetfilter.create ();
       page_pool =
         Iolite_core.Iobuf.Pool.create sys ~name:"vm_pages" ~acl:Vm.Public;
@@ -320,6 +322,7 @@ let unified_cache t = t.unified_cache
 let conv_cache t = t.conv_cache
 let tier t = t.tier
 let cksum_cache t = t.cksum_cache
+let clusters t = t.clusters
 let filter t = t.filter
 let page_pool t = t.page_pool
 let file_pool t = t.file_pool

@@ -79,6 +79,11 @@ val tier : t -> Iolite_core.Tier.t option
     at creation; {!Fileio}'s fill paths probe it before the disk. *)
 
 val cksum_cache : t -> Iolite_net.Cksum.Cache.t
+
+val clusters : t -> Iolite_net.Mbuf.clusters
+(** The kernel's free list of mbuf clusters, shared by every copied send
+    on this kernel. *)
+
 val filter : t -> Iolite_net.Packetfilter.t
 
 val page_pool : t -> Iolite_core.Iobuf.Pool.t

@@ -329,7 +329,7 @@ let send_mode ?on_complete proc c mode agg =
       end
     | Copied ->
       (* Conventional: copy into mbuf clusters, checksum the whole copy. *)
-      let chain = Mbuf.of_agg_copied sys agg in
+      let chain = Mbuf.of_agg_copied (Kernel.clusters kernel) sys agg in
       Iobuf.Agg.free agg;
       (chain, len, 0)
   in

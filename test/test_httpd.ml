@@ -26,6 +26,73 @@ let test_parse_request () =
   Alcotest.(check bool) "garbage rejected" true
     (Http.parse_request "NONSENSE\r\n" = None)
 
+(* Keep-alive comes from an HTTP/1.1 request line or a Connection
+   header, never from the word appearing elsewhere in the request. *)
+let test_parse_keep_alive_header () =
+  let keep_alive what req =
+    match Http.parse_request req with
+    | Some r -> r.Http.keep_alive
+    | None -> Alcotest.failf "%s: parse failed" what
+  in
+  Alcotest.(check bool) "keep-alive in the path" false
+    (keep_alive "path" "GET /keep-alive.html HTTP/1.0\r\nHost: h\r\n\r\n");
+  Alcotest.(check bool) "keep-alive in another header" false
+    (keep_alive "other header" "GET /a HTTP/1.0\r\nX-Note: keep-alive\r\n\r\n");
+  Alcotest.(check bool) "keep-alive after the headers" false
+    (keep_alive "body" "GET /a HTTP/1.0\r\n\r\nConnection: keep-alive\r\n");
+  Alcotest.(check bool) "Connection: keep-alive" true
+    (keep_alive "header" "GET /a HTTP/1.0\r\nHost: h\r\nConnection: keep-alive\r\n\r\n");
+  Alcotest.(check bool) "header case and token list" true
+    (keep_alive "tokens" "GET /a HTTP/1.0\r\nconnection: Upgrade, Keep-Alive\r\n\r\n");
+  Alcotest.(check bool) "Connection: close" false
+    (keep_alive "close" "GET /a HTTP/1.0\r\nConnection: close\r\n\r\n");
+  Alcotest.(check bool) "unterminated last header" true
+    (keep_alive "no CRLF" "GET /a HTTP/1.0\r\nConnection: keep-alive");
+  List.iter
+    (fun path ->
+      List.iter
+        (fun ka ->
+          match Http.parse_request (Http.request_string ~keep_alive:ka path) with
+          | Some r ->
+            Alcotest.(check string) "emitted path" path r.Http.path;
+            Alcotest.(check bool) (path ^ ": emitted keep-alive") ka r.Http.keep_alive
+          | None -> Alcotest.failf "%s: emitted request rejected" path)
+        [ false; true ])
+    [ "/"; "/doc/r17"; "/keep-alive.html"; "/cgi"; "/f42"; "/a/keep-alive/b" ]
+
+(* The messages are byte-identical to the format strings they replace. *)
+let test_messages_match_format () =
+  List.iter
+    (fun ka ->
+      List.iter
+        (fun path ->
+          Alcotest.(check string) "request"
+            (Printf.sprintf
+               "GET %s HTTP/1.%d\r\nHost: server.example.edu\r\nUser-Agent: \
+                repro-client/1.0\r\nAccept: */*\r\n%s\r\n"
+               path
+               (if ka then 1 else 0)
+               (if ka then "Connection: keep-alive\r\n" else ""))
+            (Http.request_string ~keep_alive:ka path))
+        [ ""; "/"; "/doc/r12345" ];
+      List.iter
+        (fun (status, reason) ->
+          List.iter
+            (fun content_length ->
+              Alcotest.(check string) "response header"
+                (Printf.sprintf
+                   "HTTP/1.%d %d %s\r\nDate: Thu, 04 Feb 1999 21:00:00 \
+                    GMT\r\nServer: Flash/0.1 (FreeBSD 2.2.6)\r\nContent-Type: \
+                    text/html\r\nLast-Modified: Mon, 01 Feb 1999 09:00:00 \
+                    GMT\r\nContent-Length: %d\r\nConnection: %s\r\n\r\n"
+                   (if ka then 1 else 0)
+                   status reason content_length
+                   (if ka then "keep-alive" else "close"))
+                (Http.response_header ~status ~keep_alive:ka ~content_length ()))
+            [ 0; 7; 1234; 50_000; 1_048_576; -1; max_int ])
+        [ (200, "OK"); (404, "Not Found"); (502, "Bad Gateway"); (301, "Unknown") ])
+    [ false; true ]
+
 let test_response_header () =
   let h = Http.response_header ~content_length:1234 () in
   Alcotest.(check bool) "mentions length" true
@@ -343,6 +410,10 @@ let suites =
       [
         Alcotest.test_case "parse request" `Quick test_parse_request;
         Alcotest.test_case "response header" `Quick test_response_header;
+        Alcotest.test_case "keep-alive from Connection header" `Quick
+          test_parse_keep_alive_header;
+        Alcotest.test_case "messages match format" `Quick
+          test_messages_match_format;
       ] );
     ( "httpd.static",
       [

@@ -375,7 +375,7 @@ let test_mbuf_copied_wiring () =
   let sys, d, pool = mk () in
   let a = Iobuf.Agg.of_string pool ~producer:d (String.make 10_000 'm') in
   let before = Iolite_obs.Metrics.get (Iosys.metrics sys) "bytes.copied" in
-  let chain = Mbuf.of_agg_copied sys a in
+  let chain = Mbuf.of_agg_copied (Mbuf.clusters ()) sys a in
   let after = Iolite_obs.Metrics.get (Iosys.metrics sys) "bytes.copied" in
   Alcotest.(check int) "copy charged" 10_000 (after - before);
   Alcotest.(check bool) "wired includes payload" true
@@ -402,7 +402,9 @@ let test_mbuf_carries_packet_cksums () =
 (* The conventional path's chains against the split it has always
    made: one inline mbuf up to [inline_limit] bytes, else one mbuf per
    2048-byte cluster, each holding the next bytes of the payload. Ropes
-   of several slices put their boundaries mid-cluster. *)
+   of several slices put their boundaries mid-cluster. Every case frees
+   its chains into one free list, so after the first case that needs
+   clusters (109 bytes) the chains are built mostly from recycled ones. *)
 let test_mbuf_copied_clusters () =
   let reference s =
     let n = String.length s in
@@ -412,7 +414,7 @@ let test_mbuf_copied_clusters () =
   let inline_strings chain =
     let acc = ref [] in
     Mbuf.iter chain (function
-      | Mbuf.Inline s -> acc := s :: !acc
+      | Mbuf.Inline { data; len } -> acc := Bytes.sub_string data 0 len :: !acc
       | Mbuf.External _ -> Alcotest.fail "copied chain holds an external mbuf");
     List.rev !acc
   in
@@ -428,6 +430,7 @@ let test_mbuf_copied_clusters () =
       (Mbuf.wired_bytes chain)
   in
   let sys, d, pool = mk () in
+  let clusters = Mbuf.clusters () in
   let copied () = Iolite_obs.Metrics.get (Iosys.metrics sys) "bytes.copied" in
   let case pieces =
     let s = String.concat "" pieces in
@@ -439,11 +442,11 @@ let test_mbuf_copied_clusters () =
         (Iobuf.Agg.num_slices agg)
     in
     let before = copied () in
-    let chain = Mbuf.of_agg_copied sys agg in
+    let chain = Mbuf.of_agg_copied clusters sys agg in
     Alcotest.(check int) (what ^ ": copy charged once") (String.length s)
       (copied () - before);
     check_chain what s chain;
-    let flat = Mbuf.of_string (Iobuf.Agg.to_string sys agg) in
+    let flat = Mbuf.of_string clusters (Iobuf.Agg.to_string sys agg) in
     check_chain (what ^ " via of_string") s flat;
     List.iter Mbuf.free [ chain; flat ];
     Iobuf.Agg.free agg
@@ -457,7 +460,7 @@ let test_mbuf_copied_clusters () =
   case (List.init 40 (fun i -> text (97 + (i * 13)) i))
 
 let test_mbuf_inline_small () =
-  let chain = Mbuf.of_string "tiny" in
+  let chain = Mbuf.of_string (Mbuf.clusters ()) "tiny" in
   Alcotest.(check int) "one mbuf" 1 (Mbuf.mbuf_count chain);
   Alcotest.(check int) "payload" 4 (Mbuf.length chain);
   Mbuf.free chain
@@ -471,6 +474,194 @@ let test_mbuf_zero_copy_owns_agg () =
   Alcotest.check_raises "agg freed with chain" Iobuf.Agg.Use_after_free
     (fun () -> ignore (Iobuf.Agg.length a))
 
+(* Cksum.of_bytes sums eight bytes at a time; the byte-wise RFC 1071
+   loop above is its reference, over lengths up to 70 KB at offsets of
+   either parity, on random, all-zero and all-0xFF data. *)
+let prop_of_bytes_wordwise =
+  QCheck.Test.make ~name:"of_bytes word-wise = byte-wise reference" ~count:300
+    QCheck.(
+      quad (int_range 0 2)
+        (oneof [ int_range 0 70; int_range 0 (70 * 1024) ])
+        (int_range 0 9) int)
+    (fun (mode, len, off, seed) ->
+      let data = Bytes.create (off + len + 3) in
+      let x = ref seed in
+      for i = 0 to Bytes.length data - 1 do
+        x := ((!x * 1103515245) + 12345) land 0x3FFF_FFFF;
+        Bytes.set data i
+          (match mode with
+          | 0 -> '\000'
+          | 1 -> '\255'
+          | _ -> Char.chr ((!x lsr 11) land 255))
+      done;
+      Cksum.of_bytes data ~off ~len = reference_cksum (Bytes.sub_string data off len))
+
+let test_of_bytes_extremes () =
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (Printf.sprintf "%d zero bytes" n) 0
+        (Cksum.of_string (String.make n '\000'));
+      Alcotest.(check int) (Printf.sprintf "%d 0xFF bytes" n)
+        (reference_cksum (String.make n '\255'))
+        (Cksum.of_string (String.make n '\255')))
+    [ 0; 1; 2; 7; 8; 9; 16; 65_535; 65_536; 71_680 ]
+
+(* The checksum identity table as it was: a polymorphic Hashtbl keyed
+   on ⟨chunk, generation, offset, length⟩ tuples beside a Queue of keys
+   swept with second chance. Kept as the oracle for the flat table. *)
+module Oracle_cache = struct
+  type key = int * int * int * int
+  type entry = { esum : int; mutable refd : bool }
+
+  type t = {
+    max_entries : int;
+    table : (key, entry) Hashtbl.t;
+    fifo : key Queue.t;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+    mutable resets : int;
+  }
+
+  let create ~max_entries =
+    {
+      max_entries;
+      table = Hashtbl.create 16;
+      fifo = Queue.create ();
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+      resets = 0;
+    }
+
+  let evict_one t =
+    let evicted = ref false in
+    let budget = ref (Queue.length t.fifo + 1) in
+    while (not !evicted) && !budget > 0 && not (Queue.is_empty t.fifo) do
+      decr budget;
+      let k = Queue.pop t.fifo in
+      match Hashtbl.find_opt t.table k with
+      | None -> ()
+      | Some e when e.refd ->
+        e.refd <- false;
+        Queue.push k t.fifo
+      | Some _ ->
+        Hashtbl.remove t.table k;
+        t.evictions <- t.evictions + 1;
+        evicted := true
+    done;
+    if (not !evicted) && Hashtbl.length t.table >= t.max_entries then begin
+      Hashtbl.reset t.table;
+      Queue.clear t.fifo;
+      t.resets <- t.resets + 1
+    end
+
+  let insert t k sum =
+    if Hashtbl.length t.table >= t.max_entries then evict_one t;
+    Hashtbl.replace t.table k { esum = sum; refd = false };
+    Queue.push k t.fifo
+
+  let find t k =
+    match Hashtbl.find_opt t.table k with
+    | Some e ->
+      e.refd <- true;
+      t.hits <- t.hits + 1;
+      Some e.esum
+    | None ->
+      t.misses <- t.misses + 1;
+      None
+end
+
+(* Random probe sequences through the flat table and the oracle: each
+   step looks a key up and, for most steps, caches a sum on a miss (the
+   protocol of every caller). Keys take extreme component values so the
+   packing is exercised; small tables make evictions and (at
+   max_entries 0) the reset fallback fire, and 100 makes the table grow
+   past its initial arrays. *)
+let prop_cache_matches_oracle =
+  let chunks = [| 1; 2; 7; 1 lsl 40; max_int |] in
+  let gens = [| 0; (1 lsl 28) - 1 |] in
+  let offs = [| 0; (1 lsl 17) - 1; 3 |] in
+  let lens = [| 1; (1 lsl 17) - 1 |] in
+  QCheck.Test.make ~name:"identity table = Hashtbl+Queue oracle" ~count:300
+    QCheck.(
+      pair
+        (oneofl [ 0; 1; 2; 3; 4; 6; 100 ])
+        (list_of_size Gen.(0 -- 400)
+           (quad (int_bound 59) bool (int_bound 0xFFFF) (int_bound 9))))
+    (fun (max_entries, ops) ->
+      let t = Cksum.Cache.create ~max_entries () in
+      let o = Oracle_cache.create ~max_entries in
+      List.for_all
+        (fun (k, only_find, sum, narrow) ->
+          (* [narrow] < 7 draws from a dozen keys, so hits are common. *)
+          let k = if narrow < 7 then k mod 12 else k in
+          let chunk = chunks.(k mod 5) and generation = gens.(k / 5 mod 2) in
+          let off = offs.(k / 10 mod 3) and len = lens.(k / 30 mod 2) in
+          let key = (chunk, generation, off, len) in
+          let got = Cksum.Cache.find_key t ~chunk ~generation ~off ~len in
+          let want = Oracle_cache.find o key in
+          if got = None && not only_find then begin
+            Cksum.Cache.insert_key t ~chunk ~generation ~off ~len sum;
+            Oracle_cache.insert o key sum
+          end;
+          got = want
+          && Cksum.Cache.hits t = o.hits
+          && Cksum.Cache.misses t = o.misses
+          && Cksum.Cache.evictions t = o.evictions
+          && Cksum.Cache.resets t = o.resets
+          && Cksum.Cache.entry_count t = Hashtbl.length o.table)
+        ops)
+
+(* The kernel's cluster free list: freed clusters come back to the next
+   copy, a live chain's bytes never move, and a freed chain cannot be
+   read. ("copied clusters" checks the chain accounting on recycled
+   clusters.) *)
+let test_mbuf_cluster_free_list () =
+  let sys, d, pool = mk () in
+  let clusters = Mbuf.clusters () in
+  let text n seed = String.init n (fun i -> Char.chr (((i * 7) + (seed * 13)) land 255)) in
+  let chain_of s =
+    let a = Iobuf.Agg.of_string pool ~producer:d s in
+    let c = Mbuf.of_agg_copied clusters sys a in
+    Iobuf.Agg.free a;
+    c
+  in
+  let mbufs c =
+    let acc = ref [] in
+    Mbuf.iter c (function
+      | Mbuf.Inline { data; len } -> acc := (data, len) :: !acc
+      | Mbuf.External _ -> Alcotest.fail "copied chain holds an external mbuf");
+    List.rev !acc
+  in
+  let contents c = String.concat "" (List.map (fun (b, l) -> Bytes.sub_string b 0 l) (mbufs c)) in
+  let a = chain_of (text 10_000 1) in
+  let a_clusters = List.map fst (mbufs a) in
+  Mbuf.free a;
+  let b = chain_of (text 10_000 2) in
+  let b_clusters = List.map fst (mbufs b) in
+  Alcotest.(check int) "same cluster count" (List.length a_clusters) (List.length b_clusters);
+  Alcotest.(check bool) "freed clusters reused" true
+    (List.for_all (fun c -> List.memq c a_clusters) b_clusters);
+  Alcotest.(check string) "reused clusters hold the new bytes" (text 10_000 2) (contents b);
+  let live = chain_of (text 9_001 3) in
+  let others =
+    List.init 12 (fun i ->
+        let c = chain_of (text (97 + (i * 1500)) (i + 4)) in
+        if i mod 2 = 0 then begin
+          Mbuf.free c;
+          None
+        end
+        else Some c)
+  in
+  Alcotest.(check string) "live chain unchanged" (text 9_001 3) (contents live);
+  Alcotest.(check string) "earlier live chain unchanged" (text 10_000 2) (contents b);
+  List.iter (Option.iter Mbuf.free) others;
+  Mbuf.free b;
+  Alcotest.check_raises "iter on a freed chain" Mbuf.Freed (fun () -> Mbuf.iter b ignore);
+  Mbuf.free b;
+  Mbuf.free live
+
 let suites =
   [
     ( "net.cksum",
@@ -480,6 +671,8 @@ let suites =
         Alcotest.test_case "agg matches flat" `Quick test_cksum_agg_matches_flat;
         Alcotest.test_case "odd slice boundary" `Quick test_cksum_agg_odd_boundary;
         QCheck_alcotest.to_alcotest prop_cksum_split_invariant;
+        QCheck_alcotest.to_alcotest prop_of_bytes_wordwise;
+        Alcotest.test_case "zero and 0xFF data" `Quick test_of_bytes_extremes;
       ] );
     ( "net.cksum_cache",
       [
@@ -489,6 +682,7 @@ let suites =
         Alcotest.test_case "disabled" `Quick test_cksum_cache_disabled;
         Alcotest.test_case "second-chance eviction" `Quick
           test_second_chance_eviction;
+        QCheck_alcotest.to_alcotest prop_cache_matches_oracle;
       ] );
     ( "net.cksum_memo",
       [
@@ -517,6 +711,7 @@ let suites =
         Alcotest.test_case "zero-copy wiring" `Quick test_mbuf_zero_copy_wiring;
         Alcotest.test_case "copied wiring" `Quick test_mbuf_copied_wiring;
         Alcotest.test_case "copied clusters" `Quick test_mbuf_copied_clusters;
+        Alcotest.test_case "cluster free list" `Quick test_mbuf_cluster_free_list;
         Alcotest.test_case "inline small" `Quick test_mbuf_inline_small;
         Alcotest.test_case "carries packet checksums" `Quick
           test_mbuf_carries_packet_cksums;
